@@ -43,6 +43,7 @@ from .planes import (
     Frame,
     Holomorphy,
     Plane,
+    PlaneBatch,
     PlaneClass,
     PlaneKind,
     classify_holomorphy,
@@ -54,6 +55,7 @@ from .planes import (
 from .tensors import (
     conjugate,
     quad_eval,
+    quad_eval_batch,
     ricci,
     ricci_star,
     scalar_curv,

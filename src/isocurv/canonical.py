@@ -23,13 +23,14 @@ from .errors import (
     UnsupportedSignature,
 )
 from .model import ModelPoint, Tolerance, as_tolerance
-from .planes import _random_frame, _sample_rng
+from .planes import _random_frame, _sample_rng, check_count
 from .tensors import (
     check_quad,
     conjugate,
     is_symmetric,
     max_norm,
-    quad_eval,
+    quad_eval_batch,
+    residual_scale,
     ricci,
     ricci_star,
     scalar_curv,
@@ -234,49 +235,61 @@ def theorem6_identities(model: ModelPoint, R, samples: int = 100, seed: int = 0,
         raise DimensionMismatch("needs even dimension >= 6")
     if model.index < 1 or m - model.index < 1:
         raise UnsupportedSignature("the mixed-pair identity needs a (+,-) orthonormal pair")
+    scale = residual_scale(R)
+    check_count(samples)
     n = m // 2
     rho = ricci(model, R)
     rs = ricci_star(model, R)
     tau = scalar_curv(model, R)
     ts = scalar_star(model, R)
-    scale = max(1.0, max_norm(R))
 
-    basis = np.eye(m)
-    ksum = sum(quad_eval(R, basis[i], J @ basis[i], J @ basis[i], basis[i]) for i in range(m))
-    res12 = abs(ksum - (tau + 3.0 * ts) / (2.0 * (n + 1))) / scale
-
-    res13 = 0.0
-    res19 = 0.0
-    res15 = 0.0
+    # per sample: a spacelike unit x, then a (+,-) orthonormal pair (y, b)
+    xs, ys, bs = [], [], []
     for i in range(samples):
         rng = _sample_rng(seed, i)
         (x,) = _random_frame(model, (1,), rng)
-        jx = J @ x
-        k = quad_eval(R, x, jx, jx, x)
-        rhs = ((x @ rho @ x + jx @ rho @ jx + 6.0 * (x @ rs @ x)) / (2.0 * (n + 2))
-               - (tau + 3.0 * ts) / (4.0 * (n + 1) * (n + 2)))
-        res13 = max(res13, abs(k - rhs) / scale)
-
         y, b = _random_frame(model, (1, -1), rng)
-        jy, jb = J @ y, J @ b
-        lhs = quad_eval(R, y, jy, jy, b)
-        rhs = (-3.0 / (4.0 * (n - 1) * (n + 2)) * (y @ rho @ b)
-               + (2.0 * n + 1) / (4.0 * (n - 1) * (n + 2)) * (jy @ rho @ jb)
-               - 3.0 / (4.0 * (n + 1) * (n + 2)) * (b @ rs @ y)
-               + 3.0 * (2.0 * n + 3) / (4.0 * (n + 1) * (n + 2)) * (y @ rs @ b))
-        res19 = max(res19, abs(lhs - rhs) / scale)
+        xs.append(x)
+        ys.append(y)
+        bs.append(b)
+    E, X, Y, B = np.eye(m), np.array(xs), np.array(ys), np.array(bs)
+    JE, JX, JY, JB = (A @ J.T for A in (E, X, Y, B))
 
-        if include_k_mixed:
-            # identity (15) as printed; possibly carries a typesetting slip,
-            # reported but never part of the verdict
-            kxb = -quad_eval(R, y, b, b, y)  # denominator g(y,y)g(b,b) = -1
-            rhs15 = ((2.0 * n * n - 5) / (4.0 * (n - 1) * (n * n - 4)) * (y @ rho @ y - b @ rho @ b)
-                     + 3.0 / (4.0 * (n - 1) * (n * n - 4)) * (jy @ rho @ jy - jb @ rho @ jb)
-                     - 3.0 / (2.0 * (n * n - 4)) * (y @ rho @ y - b @ rho @ b)
-                     - (2.0 * n * n + 3 * n + 4) / (8.0 * (n * n - 1) * (n * n - 4)) * tau
-                     + 9.0 * n / (8.0 * (n * n - 1) * (n * n - 4)) * ts)
-            res15 = max(res15, abs(kxb - rhs15) / scale)
+    # every 4-vector evaluation in one kernel call, split by block below:
+    # K(e_i) over the basis, K(x), R(y,Jy,Jy,b) and, for (15), R(y,b,b,y)
+    blocks = [(E, JE, JE, E), (X, JX, JX, X), (Y, JY, JY, B)]
+    if include_k_mixed:
+        blocks.append((Y, B, B, Y))
+    vals = quad_eval_batch(R, *(np.concatenate(col) for col in zip(*blocks)))
+    kbasis, kx, lhs19, ryb = np.split(vals, np.cumsum([m, samples, samples]))
 
-    verdict = max(res12, res13, res19) <= tol.rel
-    return Theorem6Report(res12, res13, res19, samples, verdict,
-                          res15 if include_k_mixed else None)
+    def form(P, S, Q):
+        return np.einsum("ki,ij,kj->k", P, S, Q)
+
+    res12 = abs(float(np.sum(kbasis)) - (tau + 3.0 * ts) / (2.0 * (n + 1))) / scale
+
+    rhs13 = ((form(X, rho, X) + form(JX, rho, JX) + 6.0 * form(X, rs, X)) / (2.0 * (n + 2))
+             - (tau + 3.0 * ts) / (4.0 * (n + 1) * (n + 2)))
+    res13 = float(np.max(np.abs(kx - rhs13))) / scale
+
+    rhs19 = (-3.0 / (4.0 * (n - 1) * (n + 2)) * form(Y, rho, B)
+             + (2.0 * n + 1) / (4.0 * (n - 1) * (n + 2)) * form(JY, rho, JB)
+             - 3.0 / (4.0 * (n + 1) * (n + 2)) * form(B, rs, Y)
+             + 3.0 * (2.0 * n + 3) / (4.0 * (n + 1) * (n + 2)) * form(Y, rs, B))
+    res19 = float(np.max(np.abs(lhs19 - rhs19))) / scale
+
+    res15 = None
+    if include_k_mixed:
+        # identity (15) as printed; possibly carries a typesetting slip,
+        # reported but never part of the verdict
+        kxb = -ryb  # denominator g(y,y)g(b,b) = -1
+        yy, bb = form(Y, rho, Y), form(B, rho, B)
+        rhs15 = ((2.0 * n * n - 5) / (4.0 * (n - 1) * (n * n - 4)) * (yy - bb)
+                 + 3.0 / (4.0 * (n - 1) * (n * n - 4)) * (form(JY, rho, JY) - form(JB, rho, JB))
+                 - 3.0 / (2.0 * (n * n - 4)) * (yy - bb)
+                 - (2.0 * n * n + 3 * n + 4) / (8.0 * (n * n - 1) * (n * n - 4)) * tau
+                 + 9.0 * n / (8.0 * (n * n - 1) * (n * n - 4)) * ts)
+        res15 = float(np.max(np.abs(kxb - rhs15))) / scale
+
+    verdict = bool(max(res12, res13, res19) <= tol.rel)
+    return Theorem6Report(res12, res13, res19, samples, verdict, res15)

@@ -3,9 +3,7 @@
 Subcommands: gen | classify | diagnose | identities | fuzz.
 Exit codes: 0 success / consistent verdict, 1 inconsistency or I/O failure,
 2 usage error.  ``--json PATH`` writes a machine-readable copy of the
-report next to the human-readable table on stdout.  The environment
-variable ISOCURV_THREADS caps internal parallelism (the current
-implementation is single-threaded, so any cap is honored trivially).
+report next to the human-readable table on stdout.
 """
 
 from __future__ import annotations

@@ -33,10 +33,18 @@ from .planes import (
     PlaneKind,
     _random_frame,
     _sample_rng,
+    check_count,
     sample_planes,
     sectional_curvature,
 )
-from .tensors import check_quad, max_norm, quad_eval, ricci, scalar_curv
+from .tensors import (
+    check_quad,
+    max_norm,
+    quad_eval_batch,
+    residual_scale,
+    ricci,
+    scalar_curv,
+)
 
 
 class TheoremId(Enum):
@@ -65,25 +73,16 @@ class DiagReport:
     side_notes: list = field(default_factory=list)
 
 
-def _scale(T) -> float:
-    return max(1.0, max_norm(T))
-
-
-def _plane_residuals(R, planes) -> np.ndarray:
-    U = np.stack([p.x for p in planes])
-    V = np.stack([p.y for p in planes])
-    return np.abs(np.einsum("xyzu,kx,ky,kz,ku->k", R, U, V, V, U, optimize=True))
-
-
 def vanishing_report(model: ModelPoint, R, kind: PlaneKind, count: int = 200,
                      seed: int = 0, tol=Tolerance()) -> DiagReport:
     """Max of |R(u,v,v,u)| over sampled planes of the given kind, scaled."""
     tol = as_tolerance(tol)
     R = check_quad(model, R)
+    scale = residual_scale(R)
     planes = sample_planes(model, kind, count, seed)
-    res = _plane_residuals(R, planes) / _scale(R)
-    k = int(np.argmax(res)) if count else 0
-    worst = float(res[k]) if count else 0.0
+    res = np.abs(quad_eval_batch(R, planes.U, planes.V, planes.V, planes.U)) / scale
+    k = int(np.argmax(res))
+    worst = float(res[k])
     verdict = worst <= tol.rel
     return DiagReport(worst, None if verdict else planes[k], count, verdict)
 
@@ -103,28 +102,31 @@ class FlatnessNorms:
     mu_hat: float             # None without J
 
 
-def _fit_pi(model: ModelPoint, R):
-    """Least-squares coefficients of R against pi1 (and pi2 when J exists)."""
+def _const_curv_fit(model: ModelPoint, R, scale: float):
+    """Least-squares coefficient kappa of R against pi1, and the scaled
+    max-norm residual |R - kappa pi1| / scale."""
     p1 = pi1(model)
-    if not model.has_cplx:
-        kappa = float(np.vdot(p1, R) / np.vdot(p1, p1))
-        return kappa, kappa, None
-    p2 = pi2(model)
+    kappa = float(np.vdot(p1, R) / np.vdot(p1, p1))
+    return kappa, max_norm(R - kappa * p1) / scale
+
+
+def _fit_pi(model: ModelPoint, R):
+    """Space-form fit R ~ a pi1 + b pi2 as (nu, mu) = (a, a + 3b)."""
+    p1, p2 = pi1(model), pi2(model)
     gram = np.array([[np.vdot(p1, p1), np.vdot(p1, p2)],
                      [np.vdot(p2, p1), np.vdot(p2, p2)]])
     rhs = np.array([np.vdot(p1, R), np.vdot(p2, R)])
     a, b = np.linalg.solve(gram, rhs)
-    kappa = float(np.vdot(p1, R) / np.vdot(p1, p1))
-    return kappa, float(a), float(a) + 3.0 * float(b)
+    return float(a), float(a) + 3.0 * float(b)
 
 
 def flatness_norms(model: ModelPoint, R) -> FlatnessNorms:
     """Exact-criterion norms: conformal, Bochner, pi1-projection residual,
     and the constant-antiholomorphic-form residual at the fitted nu."""
     R = check_quad(model, R)
-    scale = _scale(R)
-    kappa, nu_hat, mu_hat = _fit_pi(model, R)
-    const_res = max_norm(R - kappa * pi1(model)) / scale
+    scale = residual_scale(R)
+    kappa, const_res = _const_curv_fit(model, R, scale)
+    nu_hat, mu_hat = _fit_pi(model, R) if model.has_cplx else (kappa, None)
     conf = max_norm(conformal(model, R)) / scale if model.dim > 3 else None
     boch = None
     antihol = None
@@ -161,18 +163,19 @@ def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 
     """Evaluate both sides of a theorem; verdict true iff they agree."""
     tol = as_tolerance(tol)
     R = check_quad(model, R)
+    check_count(count)
     s, pos = model.index, model.dim - model.index
-    scale = _scale(R)
+    scale = residual_scale(R)
 
     if theorem_id is TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI:
         return einstein_check(model, R, count, seed, tol)
 
     if theorem_id is TheoremId.THM_A_WEAK_ISO_CONST_K:
         hyp = vanishing_report(model, R, PlaneKind.WEAKLY_ISOTROPIC, count, seed, tol)
-        norms = flatness_norms(model, R)
+        _, const_res = _const_curv_fit(model, R, scale)
         rep = _consistency_report(
             [("weakly isotropic vanishing", hyp.max_residual),
-             ("constant-curvature residual", norms.const_curv_residual)],
+             ("constant-curvature residual", const_res)],
             tol, witness=hyp.witness)
     elif theorem_id is TheoremId.THM_1_STRONG_ISO_CONF_FLAT:
         _require(s >= 2 and pos >= 2, "Theorem 1 needs s>=2 and m-s>=2")
@@ -184,16 +187,16 @@ def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 
     elif theorem_id is TheoremId.THM_2_QUADRUPLES:
         _require(s >= 2 and pos >= 2, "Theorem 2 needs s>=2 and m-s>=2")
         quads = sample_planes(model, PlaneKind.QUADRUPLE_PPMM, count, seed)
-        X, Y, A, B = (np.stack([q.vectors[i] for q in quads]) for i in range(4))
+        X, Y, A, B = quads.vectors.transpose(1, 0, 2)
 
         def kval(U, V, sign):
-            return sign * np.einsum("xyzu,kx,ky,kz,ku->k", R, U, V, V, U, optimize=True)
+            return sign * quad_eval_batch(R, U, V, V, U)
 
-        v2 = np.abs(np.einsum("xyzu,kx,ky,kz,ku->k", R, X, Y, A, B, optimize=True)) / scale
+        v2 = np.abs(quad_eval_batch(R, X, Y, A, B)) / scale
         v3 = np.abs(kval(X, Y, 1) + kval(A, B, 1) - kval(X, A, -1) - kval(Y, B, -1)) / scale
-        r2 = float(np.max(v2)) if count else 0.0
-        r3 = float(np.max(v3)) if count else 0.0
-        worst = quads[int(np.argmax(np.maximum(v2, v3)))] if count else None
+        r2 = float(np.max(v2))
+        r3 = float(np.max(v3))
+        worst = quads[int(np.argmax(np.maximum(v2, v3)))]
         conf = max_norm(conformal(model, R)) / scale
         rep = _consistency_report(
             [("quadruple component vanishing", r2),
@@ -204,17 +207,12 @@ def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 
         hyp = vanishing_report(model, R, PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC,
                                count, seed, tol)
         planes = sample_planes(model, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, count, seed)
-        if planes:
-            U = np.stack([p.x for p in planes])
-            V = np.stack([p.y for p in planes])
-            num = np.einsum("xyzu,kx,ky,kz,ku->k", R, U, V, V, U, optimize=True)
-            g = model.metric
-            disc = (np.einsum("ki,ij,kj->k", U, g, U) * np.einsum("ki,ij,kj->k", V, g, V)
-                    - np.einsum("ki,ij,kj->k", U, g, V) ** 2)
-            ks = num / disc
-            spread = float(np.max(ks) - np.min(ks)) / scale
-        else:
-            spread = 0.0
+        U, V = planes.U, planes.V
+        g = model.metric
+        disc = (np.einsum("ki,ij,kj->k", U, g, U) * np.einsum("ki,ij,kj->k", V, g, V)
+                - np.einsum("ki,ij,kj->k", U, g, V) ** 2)
+        ks = quad_eval_batch(R, U, V, V, U) / disc
+        spread = float(np.max(ks) - np.min(ks)) / scale
         rep = _consistency_report(
             [("weakly isotropic antiholomorphic vanishing", hyp.max_residual),
              ("antiholomorphic curvature spread", spread)], tol, witness=hyp.witness)
@@ -259,7 +257,7 @@ def _isotropic_vectors(model: ModelPoint, count: int, seed: int) -> np.ndarray:
     hit = _ISOTROPIC_CACHE.get(key)
     if hit is None:
         hit = np.stack([np.add(*_random_frame(model, (1, -1), _sample_rng(seed, i)))
-                        for i in range(count)]) if count else np.zeros((0, model.dim))
+                        for i in range(count)])
         if len(_ISOTROPIC_CACHE) >= 64:
             _ISOTROPIC_CACHE.clear()
         _ISOTROPIC_CACHE[key] = hit
@@ -272,6 +270,8 @@ def einstein_check(model: ModelPoint, R, count: int = 200, seed: int = 0,
     |rho - (tau/m) g|; verdict: the two are small together or large together."""
     tol = as_tolerance(tol)
     R = check_quad(model, R)
+    residual_scale(R)  # rejects a non-finite R
+    check_count(count)
     _require(model.index >= 1 and model.dim - model.index >= 1,
              "isotropic vectors need an indefinite metric")
     rho = ricci(model, R)
@@ -279,11 +279,8 @@ def einstein_check(model: ModelPoint, R, count: int = 200, seed: int = 0,
     scale = max(1.0, max_norm(rho))
     XI = _isotropic_vectors(model, count, seed)
     vals = np.abs(np.einsum("ki,ij,kj->k", XI, rho, XI)) / scale
-    if count:
-        k = int(np.argmax(vals))
-        worst, witness = float(vals[k]), XI[k]
-    else:
-        worst, witness = 0.0, None
+    k = int(np.argmax(vals))
+    worst, witness = float(vals[k]), XI[k]
     einstein_res = max_norm(rho - (tau / model.dim) * model.metric) / scale
     hyp_pass = worst <= tol.rel
     concl_pass = einstein_res <= tol.rel
@@ -300,39 +297,37 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
     conclusion (projection residual for the constant-curvature case, |T| else)."""
     tol = as_tolerance(tol)
     T = check_quad(model, T)
-    J = model.cplx
-    scale = _scale(T)
-    worst, witness = 0.0, None
-
-    def bump(r, w):
-        nonlocal worst, witness
-        if r > worst:
-            worst, witness = r, w
+    scale = residual_scale(T)
+    check_count(count)
 
     if kind is UniquenessKind.THM_B:
         _require(model.index >= 1 and model.dim - model.index >= 1,
                  "needs a (+,-) orthonormal pair")
+        g = model.metric
+        rows = []
         for i in range(count):
             rng = _sample_rng(seed, i)
             x, y = _random_frame(model, (1, -1), rng)
             z = rng.uniform(-1.0, 1.0, model.dim)
-            g = model.metric
             z = z - (z @ g @ x) * (x / (x @ g @ x)) - (z @ g @ y) * (y / (y @ g @ y))
-            bump(abs(quad_eval(T, x, y, z, x)) / scale, Frame(np.stack([x, y, z]), (1, -1, 0)))
-        kappa = float(np.vdot(pi1(model), T) / np.vdot(pi1(model), pi1(model)))
-        concl = max_norm(T - kappa * pi1(model)) / scale
+            rows.append((x, y, z))
+        X, Y, Z = np.array(rows).transpose(1, 0, 2)
+        res = np.abs(quad_eval_batch(T, X, Y, Z, X)) / scale
+        k = int(np.argmax(res))
+        worst, witness = float(res[k]), Frame(np.stack(rows[k]), (1, -1, 0))
+        _, concl = _const_curv_fit(model, T, scale)
         concl_name = "constant-curvature residual"
     else:
         J = model.require_cplx()
         spacelike_only = kind is UniquenessKind.LEMMA_1
         pair_signs = (1, -1) if kind is UniquenessKind.LEMMA_1 else None
+        rows = []
         for i in range(count):
             rng = _sample_rng(seed, i)
             if spacelike_only:
                 (x,) = _random_frame(model, (1,), rng)
             else:
                 x = rng.uniform(-1.0, 1.0, model.dim)
-            bump(abs(quad_eval(T, x, J @ x, J @ x, x)) / scale, Plane(x, J @ x))
             if pair_signs is None:
                 opts = [(1, 1)] if model.dim - model.index >= 4 else []
                 if model.index >= 2 and model.dim - model.index >= 2:
@@ -343,8 +338,17 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
             else:
                 signs = pair_signs
             u, v = _random_frame(model, signs, rng, antiholomorphic=True)
-            bump(abs(quad_eval(T, u, v, v, u)) / scale, Plane(u, v))
-            bump(abs(quad_eval(T, u, J @ u, v, u)) / scale, Plane(u, v))
+            rows.append((x, u, v))
+        X, U, V = np.array(rows).transpose(1, 0, 2)
+        JX, JU = X @ J.T, U @ J.T
+        # per sample: R(x,Jx,Jx,x) on the holomorphic plane, then R(u,v,v,u)
+        # and R(u,Ju,v,u) on the antiholomorphic one; ties go to the earliest
+        res = np.abs(np.stack([quad_eval_batch(T, X, JX, JX, X),
+                               quad_eval_batch(T, U, V, V, U),
+                               quad_eval_batch(T, U, JU, V, U)], axis=1)) / scale
+        k, j = divmod(int(np.argmax(res)), 3)
+        worst = float(res[k, j])
+        witness = Plane(X[k], JX[k]) if j == 0 else Plane(U[k], V[k])
         concl = max_norm(T) / scale
         concl_name = "tensor norm"
 
@@ -398,6 +402,7 @@ def fuzz(model: ModelPoint, trials: int, seed: int = 0, samples: int = 100,
     """Random curvature-like tensors through every applicable equivalence
     check; any one-sided outcome is recorded with its reproduction seed."""
     tol = as_tolerance(tol)
+    check_count(samples)
     theorems = applicable_theorems(model)
     counts = {t.value: {"consistent": 0, "inconsistent": 0} for t in theorems}
     inconsistencies = []

@@ -72,5 +72,7 @@ def load_document(path) -> TensorDocument:
         arr = np.array(flat, dtype=float)
         if arr.size != dim ** 4:
             raise InvalidDocument(f"tensor {name!r} has {arr.size} components, expected {dim ** 4}")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidDocument(f"tensor {name!r} has NaN or infinite components")
         tensors[name] = arr.reshape((dim,) * 4)
     return TensorDocument(model, tensors, obj.get("meta", {}))

@@ -39,3 +39,11 @@ class HybridConditionViolated(IsocurvError):
 
 class InvalidDocument(IsocurvError):
     """A tensor document file is malformed or inconsistent."""
+
+
+class NonFiniteTensor(IsocurvError):
+    """A tensor under test has a NaN or infinite component."""
+
+
+class InvalidSampleCount(IsocurvError):
+    """A sample count is below one."""

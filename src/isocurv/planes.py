@@ -14,6 +14,7 @@ construction, not by rejection near the light cone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,12 +24,14 @@ from .errors import (
     DegeneratePlane,
     DegenerateSubspace,
     DependentInput,
+    InvalidSampleCount,
     UnsupportedSignature,
 )
 from .model import ModelPoint, Tolerance, as_tolerance, inner
 from .tensors import check_quad, quad_eval
 
 _SEED_MASK = (1 << 63) - 1
+_QUADRUPLE_SIGNS = (1, 1, -1, -1)
 
 
 class PlaneKind(Enum):
@@ -85,6 +88,44 @@ class Frame:
 
     def __len__(self):
         return len(self.signs)
+
+
+@dataclass(frozen=True, eq=False)
+class PlaneBatch:
+    """An immutable batch of sampled planes or frames, stored as one array.
+
+    ``vectors[i]`` holds sample i: the basis rows (x, y) of a plane, or the
+    rows of a frame whose sign labels are ``signs``.  The array is
+    read-only; indexing and iteration build Plane/Frame views of its rows.
+    """
+
+    vectors: np.ndarray  # (k, 2, m) for planes, (k, 4, m) for quadruples
+    signs: tuple = None  # frame sign labels; None for a batch of planes
+
+    def __post_init__(self):
+        vectors = np.array(self.vectors, dtype=float)
+        vectors.setflags(write=False)
+        object.__setattr__(self, "vectors", vectors)
+
+    @property
+    def U(self) -> np.ndarray:
+        """(k, m) first basis vectors."""
+        return self.vectors[:, 0]
+
+    @property
+    def V(self) -> np.ndarray:
+        """(k, m) second basis vectors."""
+        return self.vectors[:, 1]
+
+    def __len__(self):
+        return len(self.vectors)
+
+    def __getitem__(self, i):
+        rows = self.vectors[operator.index(i)]
+        return Plane(*rows) if self.signs is None else Frame(rows, self.signs)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def _check_independent(vectors: np.ndarray, count: int):
@@ -253,32 +294,33 @@ def _kind_admissible(model: ModelPoint, kind: PlaneKind) -> bool:
 
 
 def _sample_one(model: ModelPoint, kind: PlaneKind, rng):
+    """Basis rows of one sample: (x, y) of a plane, or a quadruple's frame."""
     s, pos = model.index, model.dim - model.index
     if kind is PlaneKind.WEAKLY_ISOTROPIC:
         if s >= 1 and pos >= 2:
             x, y, a = _random_frame(model, (1, 1, -1), rng)
         else:
             x, y, a = _random_frame(model, (-1, -1, 1), rng)
-        return Plane(x + a, y)
+        return x + a, y
     if kind is PlaneKind.STRONGLY_ISOTROPIC:
         x, y, a, b = _random_frame(model, (1, 1, -1, -1), rng)
-        return Plane(x + a, y + b)
+        return x + a, y + b
     if kind is PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC:
         if s >= 2 and pos >= 4:
             x, y, a = _random_frame(model, (1, 1, -1), rng, antiholomorphic=True)
         else:
             x, y, a = _random_frame(model, (-1, -1, 1), rng, antiholomorphic=True)
-        return Plane(y + a, x)
+        return y + a, x
     if kind is PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC:
         x, y, a, b = _random_frame(model, (1, 1, -1, -1), rng, antiholomorphic=True)
-        return Plane(x + a, y + b)
+        return x + a, y + b
     if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
         J = model.cplx
         sgn = 1 if (pos >= 2 and s >= 1) else -1
         (x,) = _random_frame(model, (sgn,), rng)
         (a,) = _random_frame(model, (-sgn,), rng, orthogonal_to=(x,))
         xi = x + a
-        return Plane(xi, J @ xi)
+        return xi, J @ xi
     if kind is PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC:
         options = []
         if pos >= 4:
@@ -288,14 +330,11 @@ def _sample_one(model: ModelPoint, kind: PlaneKind, rng):
         if s >= 4:
             options.append((-1, -1))
         signs = options[rng.integers(len(options))]
-        u, v = _random_frame(model, signs, rng, antiholomorphic=True)
-        return Plane(u, v)
+        return _random_frame(model, signs, rng, antiholomorphic=True)
     if kind is PlaneKind.QUADRUPLE_PPMM:
-        vecs = _random_frame(model, (1, 1, -1, -1), rng)
-        return Frame(np.stack(vecs), (1, 1, -1, -1))
+        return _random_frame(model, _QUADRUPLE_SIGNS, rng)
     if kind is PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM:
-        vecs = _random_frame(model, (1, 1, -1, -1), rng, antiholomorphic=True)
-        return Frame(np.stack(vecs), (1, 1, -1, -1))
+        return _random_frame(model, _QUADRUPLE_SIGNS, rng, antiholomorphic=True)
     raise ValueError(f"unknown plane kind {kind}")
 
 
@@ -308,12 +347,19 @@ def _model_key(model: ModelPoint):
             model.cplx.tobytes() if model.has_cplx else None)
 
 
-def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0) -> list:
-    """Deterministic list of planes/frames of the given kind.
+def check_count(count: int) -> None:
+    """Reject a sample count below one."""
+    if count < 1:
+        raise InvalidSampleCount(f"need at least one sample, got {count}")
 
-    Results are memoized per (model, kind, count, seed); all returned
-    objects are immutable.
+
+def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0) -> PlaneBatch:
+    """Deterministic batch of `count` planes/frames of the given kind.
+
+    Results are memoized per (model, kind, count, seed); a repeated call
+    returns the same immutable PlaneBatch.
     """
+    check_count(count)
     if not _kind_admissible(model, kind):
         raise UnsupportedSignature(
             f"kind {kind.value} impossible for signature ({model.index},{model.dim - model.index})"
@@ -322,7 +368,9 @@ def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0)
     hit = _PLANE_CACHE.get(key)
     if hit is not None:
         return hit
-    out = [_sample_one(model, kind, _sample_rng(seed, i)) for i in range(count)]
+    rows = [_sample_one(model, kind, _sample_rng(seed, i)) for i in range(count)]
+    quadruple = kind in (PlaneKind.QUADRUPLE_PPMM, PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM)
+    out = PlaneBatch(rows, _QUADRUPLE_SIGNS if quadruple else None)
     if len(_PLANE_CACHE) >= _PLANE_CACHE_LIMIT:
         _PLANE_CACHE.clear()
     _PLANE_CACHE[key] = out

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteTensor
 from .model import ModelPoint, Tolerance, as_tolerance
 
 
@@ -27,9 +27,37 @@ def max_norm(T) -> float:
     return float(np.max(np.abs(T))) if T.size else 0.0
 
 
+def residual_scale(T) -> float:
+    """max(1, |T|_max), the scale that residuals of T are measured against.
+
+    Raises NonFiniteTensor when T has a NaN or infinite component: every
+    residual of such a tensor is NaN or inf, and a verdict built on them
+    would be meaningless.
+    """
+    top = max_norm(T)
+    if not np.isfinite(top):
+        raise NonFiniteTensor("tensor has NaN or infinite components")
+    return max(1.0, top)
+
+
+def quad_eval_batch(T, X, Y, Z, U) -> np.ndarray:
+    """T(x_k, y_k, z_k, u_k) for the rows of four (k, m) arrays.
+
+    Evaluated as a bivector product: the rows of X (x) Y times T viewed as
+    an (m^2, m^2) matrix, dotted row by row with the rows of Z (x) U.
+    """
+    T = np.asarray(T, dtype=float)
+    X, Y, Z, U = (np.asarray(A, dtype=float) for A in (X, Y, Z, U))
+    k, m = X.shape
+    xy = (X[:, :, None] * Y[:, None, :]).reshape(k, m * m)
+    zu = (Z[:, :, None] * U[:, None, :]).reshape(k, m * m)
+    return np.einsum("kp,kp->k", xy @ T.reshape(m * m, m * m), zu)
+
+
 def quad_eval(T, x, y, z, u) -> float:
     """T(x, y, z, u) for component vectors."""
-    return float(np.einsum("ijkl,i,j,k,l->", T, x, y, z, u, optimize=True))
+    rows = (np.asarray(v, dtype=float)[None, :] for v in (x, y, z, u))
+    return float(quad_eval_batch(T, *rows)[0])
 
 
 def is_symmetric(S, tol=Tolerance()) -> bool:

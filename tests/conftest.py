@@ -43,6 +43,26 @@ def oracle_ricci_star(model, T):
     return out
 
 
+def oracle_quad_eval(T, x, y, z, u):
+    """T(x, y, z, u) = sum over i, j, k, l of T[i,j,k,l] x_i y_j z_k u_l."""
+    m = len(x)
+    acc = 0.0
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                for l in range(m):
+                    acc += T[i, j, k, l] * x[i] * y[j] * z[k] * u[l]
+    return acc
+
+
+def non_diagonal_model(m, index, seed=0):
+    """Signature (index, m - index) with a metric A^T diag(-1.., +1..) A."""
+    rng = np.random.default_rng(seed)
+    A = np.eye(m) + 0.3 * rng.uniform(-1.0, 1.0, (m, m))
+    eps = np.r_[-np.ones(index), np.ones(m - index)]
+    return ModelPoint(m, index, metric=A.T @ np.diag(eps) @ A)
+
+
 def random_symmetric(rng, m):
     S = rng.uniform(-1.0, 1.0, (m, m))
     return (S + S.T) / 2.0

@@ -24,7 +24,9 @@ from isocurv.diagnostics import random_curvature_like
 from isocurv.errors import (
     DimensionMismatch,
     HybridConditionViolated,
+    InvalidSampleCount,
     IsocurvError,
+    NonFiniteTensor,
     UnsupportedSignature,
 )
 from isocurv.tensors import max_norm, trace_g
@@ -199,3 +201,19 @@ class TestTheorem6Identities:
         mh = hermitian_model(6, 0)
         with pytest.raises(UnsupportedSignature):
             theorem6_identities(mh, pi1(mh), samples=10)
+
+    def test_verdict_is_a_python_bool(self, h44):
+        assert theorem6_identities(h44, build_space_form(h44, 0.5, 2.0), samples=10).verdict is True
+        assert theorem6_identities(h44, random_curvature_like(h44, 7), samples=10).verdict is False
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, h44, value):
+        R = build_space_form(h44, 0.5, 2.0)
+        R[1, 2, 2, 1] = value
+        with pytest.raises(NonFiniteTensor):
+            theorem6_identities(h44, R, samples=10)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_below_one_rejected(self, h44, samples):
+        with pytest.raises(InvalidSampleCount):
+            theorem6_identities(h44, pi1(h44), samples=samples)

@@ -7,6 +7,7 @@ from isocurv import (
     ModelPoint,
     TensorDocument,
     build_conformally_flat,
+    build_space_form,
     hermitian_model,
     load_document,
     save_document,
@@ -158,6 +159,18 @@ class TestDiagnose:
                    "--theorem", "Thm1_strongIso_confFlat") == 2
 
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    @pytest.mark.parametrize("theorem", ["ThmA_weakIso_constK", "EinsteinFromIsotropicRicci"])
+    def test_sample_count_below_one_is_usage_error(self, tmp_path, capsys, theorem, samples):
+        doc_path = tmp_path / "cc.json"
+        run("gen", "const-curv", "--dim", "4", "--index", "2", "--c", "1.0",
+            "--out", str(doc_path))
+        capsys.readouterr()
+        assert run("diagnose", str(doc_path), "--tensor", "R", "--theorem", theorem,
+                   f"--samples={samples}") == 2
+        assert "at least one sample" in capsys.readouterr().err
+
+
 class TestIdentities:
     def test_space_form_passes(self, tmp_path, capsys):
         doc_path = tmp_path / "sf.json"
@@ -180,6 +193,26 @@ class TestIdentities:
         assert "optional" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_json_report_round_trip(self, tmp_path, flat):
+        model = hermitian_model(8, 4)
+        R = build_space_form(model, 0.5, 2.0) if flat else random_curvature_like(model, 5)
+        doc_path, rep_path = tmp_path / "doc.json", tmp_path / "rep.json"
+        save_document(TensorDocument(model, {"R": R}), doc_path)
+        code = run("identities", str(doc_path), "--tensor", "R", "--samples", "20",
+                   "--json", str(rep_path))
+        assert code == (0 if flat else 1)
+        payload = json.loads(rep_path.read_text())
+        assert payload["verdict"] is flat
+        assert payload["samples_used"] == 20
+
+    def test_sample_count_below_one_is_usage_error(self, tmp_path):
+        doc_path = tmp_path / "sf.json"
+        run("gen", "space-form", "--n", "4", "--s", "2", "--mu", "2.0",
+            "--nu", "0.5", "--out", str(doc_path))
+        assert run("identities", str(doc_path), "--tensor", "R", "--samples", "0") == 2
+
+
 class TestFuzz:
     def test_exit_zero_and_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -195,6 +228,30 @@ class TestFuzz:
         summary = json.loads(capsys.readouterr().out)
         assert summary["trials"] == 2
         assert summary["inconsistencies"] == []
+
+
+    def test_sample_count_below_one_is_usage_error(self):
+        assert run("fuzz", "--dim", "4", "--index", "2", "--trials", "1",
+                   "--samples", "0") == 2
+
+
+class TestNonFiniteTensor:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("argv", [
+        ("diagnose", "--theorem", "ThmA_weakIso_constK"),
+        ("diagnose", "--theorem", "Thm2_quadruples"),
+        ("diagnose", "--theorem", "Thm6_strongIsoAntihol_Bochner"),
+        ("diagnose", "--theorem", "flatness"),
+        ("identities",),
+    ])
+    def test_usage_error(self, tmp_path, capsys, argv, value):
+        model = hermitian_model(8, 4)
+        R = build_space_form(model, 0.5, 2.0)
+        R[0, 2, 2, 0] = value
+        doc_path = tmp_path / "bad.json"
+        save_document(TensorDocument(model, {"R": R}), doc_path)
+        assert run(argv[0], str(doc_path), "--tensor", "R", *argv[1:]) == 2
+        assert "NaN or infinite" in capsys.readouterr().err
 
 
 class TestDocumentIO:
@@ -234,3 +291,15 @@ class TestDocumentIO:
 
         with pytest.raises(InvalidDocument):
             load_document(p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        model = ModelPoint(4, 2)
+        T = np.zeros((4,) * 4)
+        T[0, 1, 1, 0] = value
+        path = tmp_path / "bad.json"
+        save_document(TensorDocument(model, {"T": T}), path)
+        from isocurv.errors import InvalidDocument
+
+        with pytest.raises(InvalidDocument, match="NaN or infinite"):
+            load_document(path)

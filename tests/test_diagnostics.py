@@ -25,7 +25,7 @@ from isocurv import (
     vanishing_report,
 )
 from isocurv.diagnostics import applicable_theorems
-from isocurv.errors import UnsupportedSignature
+from isocurv.errors import InvalidSampleCount, NonFiniteTensor, UnsupportedSignature
 from isocurv.tensors import max_norm
 
 from conftest import random_symmetric
@@ -236,3 +236,51 @@ class TestFuzz:
     def test_seed_changes_tensors(self, m22):
         assert max_norm(random_curvature_like(m22, 0, 0)
                         - random_curvature_like(m22, 1, 0)) > 1e-3
+
+
+def _poisoned(model, value):
+    R = build_constant_curvature(model, 1.0)
+    R[0, 1, 1, 0] = value
+    return R
+
+
+ENTRY_POINTS = {
+    "vanishing_report": lambda M, R: vanishing_report(M, R, PlaneKind.WEAKLY_ISOTROPIC, 10),
+    "einstein_check": lambda M, R: einstein_check(M, R, 10),
+    "flatness_norms": flatness_norms,
+    "uniqueness_check": lambda M, R: uniqueness_check(M, UniquenessKind.THM_B, R, 10),
+}
+
+
+class TestNonFiniteTensors:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tid", list(TheoremId))
+    def test_equivalence_check_rejects(self, h44, tid, value):
+        with pytest.raises(NonFiniteTensor):
+            equivalence_check(h44, _poisoned(h44, value), tid, 10)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_entry_points_reject(self, h44, name, value):
+        with pytest.raises(NonFiniteTensor):
+            ENTRY_POINTS[name](h44, _poisoned(h44, value))
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("tid", list(TheoremId))
+    def test_equivalence_check(self, h44, tid, count):
+        with pytest.raises(InvalidSampleCount):
+            equivalence_check(h44, pi1(h44), tid, count)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_other_checkers(self, h44, count):
+        with pytest.raises(InvalidSampleCount):
+            vanishing_report(h44, pi1(h44), PlaneKind.WEAKLY_ISOTROPIC, count)
+        with pytest.raises(InvalidSampleCount):
+            einstein_check(h44, pi1(h44), count)
+        for kind in UniquenessKind:
+            with pytest.raises(InvalidSampleCount):
+                uniqueness_check(h44, kind, pi1(h44), count)
+        with pytest.raises(InvalidSampleCount):
+            fuzz(h44, 1, samples=count)

@@ -6,6 +6,7 @@ from isocurv import (
     Holomorphy,
     ModelPoint,
     Plane,
+    PlaneBatch,
     PlaneClass,
     PlaneKind,
     build_space_form,
@@ -22,6 +23,7 @@ from isocurv.errors import (
     DegeneratePlane,
     DegenerateSubspace,
     DependentInput,
+    InvalidSampleCount,
     UnsupportedSignature,
 )
 
@@ -208,3 +210,54 @@ class TestSamplers:
     def test_complex_structure_required(self, m22):
         with pytest.raises(Exception):
             sample_planes(m22, PlaneKind.ISOTROPIC_HOLOMORPHIC, 1, seed=0)
+
+
+class TestPlaneBatch:
+    @pytest.mark.parametrize("kind", [PlaneKind.WEAKLY_ISOTROPIC, PlaneKind.QUADRUPLE_PPMM])
+    def test_arrays_are_read_only(self, h44, kind):
+        batch = sample_planes(h44, kind, 5, seed=2)
+        for arr in (batch.vectors, batch.U, batch.V):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        item = batch[0]
+        view = item.vectors if isinstance(item, Frame) else item.x
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+
+    def test_planes_agree_with_arrays(self, h44):
+        batch = sample_planes(h44, PlaneKind.STRONGLY_ISOTROPIC, 7, seed=3)
+        assert isinstance(batch, PlaneBatch)
+        assert len(batch) == 7 and batch.U.shape == batch.V.shape == (7, 8)
+        planes = list(batch)
+        assert len(planes) == 7
+        for i, p in enumerate(planes):
+            assert isinstance(p, Plane)
+            assert np.array_equal(p.x, batch.U[i]) and np.array_equal(p.y, batch.V[i])
+            assert np.array_equal(batch[i].x, p.x)
+        assert np.array_equal(batch[-1].y, batch.V[6])
+        with pytest.raises(IndexError):
+            batch[7]
+
+    def test_frames_agree_with_arrays(self, h44):
+        batch = sample_planes(h44, PlaneKind.QUADRUPLE_PPMM, 4, seed=3)
+        assert batch.vectors.shape == (4, 4, 8)
+        for i, fr in enumerate(batch):
+            assert isinstance(fr, Frame) and fr.signs == (1, 1, -1, -1)
+            assert np.array_equal(fr.vectors, batch.vectors[i])
+
+    def test_cache_hit_is_same_object(self, m22):
+        a = sample_planes(m22, PlaneKind.STRONGLY_ISOTROPIC, 12, seed=21)
+        assert sample_planes(m22, PlaneKind.STRONGLY_ISOTROPIC, 12, seed=21) is a
+        assert sample_planes(m22, PlaneKind.STRONGLY_ISOTROPIC, 12, seed=22) is not a
+
+    @pytest.mark.parametrize("kind", list(PlaneKind))
+    def test_prefix_of_arrays_is_stable(self, h44, kind):
+        long = sample_planes(h44, kind, 30, seed=8)
+        short = sample_planes(h44, kind, 10, seed=8)
+        assert np.array_equal(short.vectors, long.vectors[:10])
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, m22, count):
+        with pytest.raises(InvalidSampleCount):
+            sample_planes(m22, PlaneKind.WEAKLY_ISOTROPIC, count, seed=0)

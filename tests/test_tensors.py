@@ -3,12 +3,16 @@ import pytest
 
 from isocurv import (
     ModelPoint,
+    PlaneKind,
     conjugate,
     hermitian_model,
     pi1,
     pi2,
+    quad_eval,
+    quad_eval_batch,
     ricci,
     ricci_star,
+    sample_planes,
     scalar_curv,
     scalar_star,
     validate_curvature_like,
@@ -16,7 +20,13 @@ from isocurv import (
 from isocurv.diagnostics import random_curvature_like
 from isocurv.errors import MissingComplexStructure
 
-from conftest import oracle_ricci, oracle_ricci_star, oracle_scalar
+from conftest import (
+    non_diagonal_model,
+    oracle_quad_eval,
+    oracle_ricci,
+    oracle_ricci_star,
+    oracle_scalar,
+)
 
 
 class TestCurvatureLike:
@@ -139,3 +149,33 @@ class TestConjugate:
     def test_involution(self, h44):
         T = random_curvature_like(h44, 2)
         assert np.allclose(conjugate(h44, conjugate(h44, T)), T, atol=1e-12)
+
+
+class TestQuadEvalBatch:
+    @pytest.mark.parametrize("m", [4, 5, 8])
+    def test_matches_four_loop_oracle(self, m):
+        model = non_diagonal_model(m, 2, seed=m)
+        rng = np.random.default_rng(m)
+        T = rng.uniform(-1.0, 1.0, (m,) * 4)  # no symmetries at all
+        planes = sample_planes(model, PlaneKind.STRONGLY_ISOTROPIC, 6, seed=m)
+        Z, U = rng.normal(size=(2, 6, m))
+        got = quad_eval_batch(T, planes.U, planes.V, Z, U)
+        assert got.shape == (6,)
+        for k in range(6):
+            want = oracle_quad_eval(T, planes.U[k], planes.V[k], Z[k], U[k])
+            assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert quad_eval(T, planes.U[k], planes.V[k], Z[k], U[k]) == pytest.approx(
+                want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [4, 5, 8])
+    def test_curvature_symmetries(self, m):
+        model = non_diagonal_model(m, 2, seed=m)
+        R = random_curvature_like(model, 3)
+        rng = np.random.default_rng(100 + m)
+        X, Y, Z, U = rng.normal(size=(4, 20, m))
+        base = quad_eval_batch(R, X, Y, Z, U)
+        assert np.max(np.abs(base)) > 1e-3
+        cut = 1e-12 * max(1.0, np.max(np.abs(base)))
+        assert np.max(np.abs(quad_eval_batch(R, Y, X, Z, U) + base)) <= cut
+        assert np.max(np.abs(quad_eval_batch(R, X, Y, U, Z) + base)) <= cut
+        assert np.max(np.abs(quad_eval_batch(R, Z, U, X, Y) - base)) <= cut
