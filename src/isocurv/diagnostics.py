@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -102,17 +103,15 @@ class FlatnessNorms:
     mu_hat: float             # None without J
 
 
-def _const_curv_fit(model: ModelPoint, R, scale: float):
-    """Least-squares coefficient kappa of R against pi1, and the scaled
+def _const_curv_fit(p1: np.ndarray, R, scale: float):
+    """Least-squares coefficient kappa of R against p1 = pi1, and the scaled
     max-norm residual |R - kappa pi1| / scale."""
-    p1 = pi1(model)
     kappa = float(np.vdot(p1, R) / np.vdot(p1, p1))
     return kappa, max_norm(R - kappa * p1) / scale
 
 
-def _fit_pi(model: ModelPoint, R):
+def _fit_pi(p1: np.ndarray, p2: np.ndarray, R):
     """Space-form fit R ~ a pi1 + b pi2 as (nu, mu) = (a, a + 3b)."""
-    p1, p2 = pi1(model), pi2(model)
     gram = np.array([[np.vdot(p1, p1), np.vdot(p1, p2)],
                      [np.vdot(p2, p1), np.vdot(p2, p2)]])
     rhs = np.array([np.vdot(p1, R), np.vdot(p2, R)])
@@ -120,19 +119,42 @@ def _fit_pi(model: ModelPoint, R):
     return float(a), float(a) + 3.0 * float(b)
 
 
+class _ExactNorms:
+    """Scaled max-norms of the derived tensors of one R, each computed on
+    first use.  ``equivalence_check`` makes a fresh one per call; ``fuzz``
+    shares one across the theorems of a trial, so Theorems 1 and 2 use one
+    conformal tensor and Theorems 6 and 7 one Bochner tensor."""
+
+    def __init__(self, model: ModelPoint, R: np.ndarray, scale: float):
+        self.model, self.R, self.scale = model, R, scale
+
+    @cached_property
+    def conformal(self) -> float:
+        return max_norm(conformal(self.model, self.R)) / self.scale
+
+    @cached_property
+    def bochner(self) -> float:
+        return max_norm(bochner(self.model, self.R)) / self.scale
+
+
 def flatness_norms(model: ModelPoint, R) -> FlatnessNorms:
     """Exact-criterion norms: conformal, Bochner, pi1-projection residual,
-    and the constant-antiholomorphic-form residual at the fitted nu."""
+    and the constant-antiholomorphic-form residual at the fitted nu.
+
+    pi1 and pi2 are built once, for the two fits; each derived tensor is
+    built once."""
     R = check_quad(model, R)
     scale = residual_scale(R)
-    kappa, const_res = _const_curv_fit(model, R, scale)
-    nu_hat, mu_hat = _fit_pi(model, R) if model.has_cplx else (kappa, None)
-    conf = max_norm(conformal(model, R)) / scale if model.dim > 3 else None
+    exact = _ExactNorms(model, R, scale)
+    p1 = pi1(model)
+    kappa, const_res = _const_curv_fit(p1, R, scale)
+    nu_hat, mu_hat = _fit_pi(p1, pi2(model), R) if model.has_cplx else (kappa, None)
+    conf = exact.conformal if model.dim > 3 else None
     boch = None
     antihol = None
     if model.has_cplx:
         if model.dim >= 6 and model.dim % 2 == 0:
-            boch = max_norm(bochner(model, R)) / scale
+            boch = exact.bochner
         antihol = antiholomorphic_form_residual(model, R, nu_hat) / scale
     return FlatnessNorms(conf, boch, const_res, antihol, nu_hat, mu_hat)
 
@@ -159,8 +181,12 @@ def _consistency_report(sides, tol: Tolerance, witness=None) -> DiagReport:
 
 
 def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 200,
-                      seed: int = 0, tol=Tolerance()) -> DiagReport:
-    """Evaluate both sides of a theorem; verdict true iff they agree."""
+                      seed: int = 0, tol=Tolerance(), *, _exact=None) -> DiagReport:
+    """Evaluate both sides of a theorem; verdict true iff they agree.
+
+    ``_exact`` is internal: ``fuzz`` passes the ``_ExactNorms`` of R so that
+    the theorems of one trial share each derived tensor.
+    """
     tol = as_tolerance(tol)
     R = check_quad(model, R)
     check_count(count)
@@ -170,9 +196,11 @@ def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 
     if theorem_id is TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI:
         return einstein_check(model, R, count, seed, tol)
 
+    exact = _ExactNorms(model, R, scale) if _exact is None else _exact
+
     if theorem_id is TheoremId.THM_A_WEAK_ISO_CONST_K:
         hyp = vanishing_report(model, R, PlaneKind.WEAKLY_ISOTROPIC, count, seed, tol)
-        _, const_res = _const_curv_fit(model, R, scale)
+        _, const_res = _const_curv_fit(pi1(model), R, scale)
         rep = _consistency_report(
             [("weakly isotropic vanishing", hyp.max_residual),
              ("constant-curvature residual", const_res)],
@@ -180,7 +208,7 @@ def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 
     elif theorem_id is TheoremId.THM_1_STRONG_ISO_CONF_FLAT:
         _require(s >= 2 and pos >= 2, "Theorem 1 needs s>=2 and m-s>=2")
         hyp = vanishing_report(model, R, PlaneKind.STRONGLY_ISOTROPIC, count, seed, tol)
-        conf = max_norm(conformal(model, R)) / scale
+        conf = exact.conformal
         rep = _consistency_report(
             [("strongly isotropic vanishing", hyp.max_residual),
              ("conformal norm", conf)], tol, witness=hyp.witness)
@@ -197,7 +225,7 @@ def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 
         r2 = float(np.max(v2))
         r3 = float(np.max(v3))
         worst = quads[int(np.argmax(np.maximum(v2, v3)))]
-        conf = max_norm(conformal(model, R)) / scale
+        conf = exact.conformal
         rep = _consistency_report(
             [("quadruple component vanishing", r2),
              ("sectional curvature relation", r3),
@@ -220,14 +248,14 @@ def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 
         _require(s >= 4 and pos >= 4, "Theorem 6 needs complex s>=2 and n-s>=2")
         hyp = vanishing_report(model, R, PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC,
                                count, seed, tol)
-        boch = max_norm(bochner(model, R)) / scale
+        boch = exact.bochner
         rep = _consistency_report(
             [("strongly isotropic antiholomorphic vanishing", hyp.max_residual),
              ("Bochner norm", boch)], tol, witness=hyp.witness)
     elif theorem_id is TheoremId.THM_7_ISO_HOL_BOCHNER:
         _require(s >= 4 and pos >= 4, "Theorem 7 needs complex s>=2 and n-s>=2")
         hyp = vanishing_report(model, R, PlaneKind.ISOTROPIC_HOLOMORPHIC, count, seed, tol)
-        boch = max_norm(bochner(model, R)) / scale
+        boch = exact.bochner
         rep = _consistency_report(
             [("isotropic holomorphic vanishing", hyp.max_residual),
              ("Bochner norm", boch)], tol, witness=hyp.witness)
@@ -315,7 +343,7 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
         res = np.abs(quad_eval_batch(T, X, Y, Z, X)) / scale
         k = int(np.argmax(res))
         worst, witness = float(res[k]), Frame(np.stack(rows[k]), (1, -1, 0))
-        _, concl = _const_curv_fit(model, T, scale)
+        _, concl = _const_curv_fit(pi1(model), T, scale)
         concl_name = "constant-curvature residual"
     else:
         J = model.require_cplx()
@@ -408,8 +436,9 @@ def fuzz(model: ModelPoint, trials: int, seed: int = 0, samples: int = 100,
     inconsistencies = []
     for trial in range(trials):
         R = random_curvature_like(model, seed, trial)
+        exact = _ExactNorms(model, R, residual_scale(R))
         for tid in theorems:
-            rep = equivalence_check(model, R, tid, samples, seed, tol)
+            rep = equivalence_check(model, R, tid, samples, seed, tol, _exact=exact)
             if rep.verdict:
                 counts[tid.value]["consistent"] += 1
             else:

@@ -46,6 +46,14 @@ def save_document(doc: TensorDocument, path) -> None:
         fh.write("\n")
 
 
+def _numeric(value, what: str) -> np.ndarray:
+    """A float array from JSON data; ragged or non-numeric data is InvalidDocument."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDocument(f"{what} is not a rectangular numeric array: {exc}") from exc
+
+
 def load_document(path) -> TensorDocument:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -59,17 +67,20 @@ def load_document(path) -> TensorDocument:
         raise InvalidDocument("document needs integer 'dim' and 'index'") from exc
     if not 0 <= index <= dim:
         raise InvalidDocument("declared index exceeds dimension")
-    metric = np.array(obj["metric"], dtype=float) if "metric" in obj else None
-    cplx = np.array(obj["J"], dtype=float) if "J" in obj else None
+    metric = _numeric(obj["metric"], "'metric'") if "metric" in obj else None
+    cplx = _numeric(obj["J"], "'J'") if "J" in obj else None
     try:
         model = ModelPoint(dim, index, metric=metric, cplx=cplx)
     except Exception as exc:
         raise InvalidDocument(str(exc)) from exc
     if model.has_cplx and not validate_complex_structure(model).verdict:
         raise InvalidDocument("J fails the complex-structure axioms")
+    entries = obj.get("tensors", {})
+    if not isinstance(entries, dict):
+        raise InvalidDocument("'tensors' must map names to component lists")
     tensors = {}
-    for name, flat in obj.get("tensors", {}).items():
-        arr = np.array(flat, dtype=float)
+    for name, flat in entries.items():
+        arr = _numeric(flat, f"tensor {name!r}")
         if arr.size != dim ** 4:
             raise InvalidDocument(f"tensor {name!r} has {arr.size} components, expected {dim ** 4}")
         if not np.all(np.isfinite(arr)):

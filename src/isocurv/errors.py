@@ -47,3 +47,7 @@ class NonFiniteTensor(IsocurvError):
 
 class InvalidSampleCount(IsocurvError):
     """A sample count is below one."""
+
+
+class InvalidTolerance(IsocurvError, ValueError):
+    """A relative tolerance is not a positive finite number."""

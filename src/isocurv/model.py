@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidModel, MissingComplexStructure
+from .errors import DimensionMismatch, InvalidModel, InvalidTolerance, MissingComplexStructure
 
 
 def signature_metric(dim: int, index: int) -> np.ndarray:
@@ -53,8 +53,8 @@ class Tolerance:
     rel: float = 1e-9
 
     def __post_init__(self):
-        if self.rel <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.rel < np.inf:
+            raise InvalidTolerance(f"tolerance must be a positive finite number, got {self.rel}")
 
     def threshold(self, *arrays) -> float:
         scale = 1.0
@@ -63,6 +63,15 @@ class Tolerance:
             if a.size:
                 scale = max(scale, float(np.max(np.abs(a))))
         return self.rel * scale
+
+
+def _condition(g: np.ndarray) -> float:
+    """|g|_F |g^-1|_F, which lies between sigma_max/sigma_min and m times it,
+    so it does not change when g is scaled; inf for a singular g."""
+    try:
+        return float(np.linalg.norm(g) * np.linalg.norm(np.linalg.inv(g)))
+    except np.linalg.LinAlgError:
+        return np.inf
 
 
 def as_tolerance(tol) -> Tolerance:
@@ -95,9 +104,11 @@ class ModelPoint:
         g = np.array(g, dtype=float)
         if g.shape != (self.dim, self.dim):
             raise InvalidModel("metric shape does not match dimension")
+        if not np.all(np.isfinite(g)):
+            raise InvalidModel("metric must be finite")
         if not np.allclose(g, g.T, rtol=1e-12, atol=1e-12):
             raise InvalidModel("metric must be symmetric")
-        if abs(np.linalg.det(g)) <= 1e-12:
+        if _condition(g) >= 1e12:
             raise InvalidModel("metric must be nondegenerate")
         g.setflags(write=False)
         object.__setattr__(self, "metric", g)

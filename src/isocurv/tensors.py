@@ -94,13 +94,12 @@ def validate_curvature_like(model: ModelPoint, T, tol=Tolerance()) -> CurvatureL
 def ricci(model: ModelPoint, T) -> np.ndarray:
     """Ricci contraction rho(y,z) = sum_i eps_i T(e_i, y, z, e_i)."""
     T = check_quad(model, T)
-    return np.einsum("il,iyzl->yz", model.metric_inv, T, optimize=True)
+    return _contract(T, model.metric_inv)
 
 
 def scalar_curv(model: ModelPoint, T) -> float:
     """Scalar curvature: metric trace of the Ricci contraction."""
-    rho = ricci(model, T)
-    return float(np.einsum("yz,yz->", model.metric_inv, rho))
+    return trace_g(model, ricci(model, T))
 
 
 def ricci_star(model: ModelPoint, T) -> np.ndarray:
@@ -110,13 +109,12 @@ def ricci_star(model: ModelPoint, T) -> np.ndarray:
     """
     T = check_quad(model, T)
     J = model.require_cplx()
-    return np.einsum("il,iyab,az,bl->yz", model.metric_inv, T, J, J, optimize=True)
+    return _contract(T, model.metric_inv @ J.T) @ J
 
 
 def scalar_star(model: ModelPoint, T) -> float:
     """Metric trace of the J-twisted Ricci contraction."""
-    rs = ricci_star(model, T)
-    return float(np.einsum("yz,yz->", model.metric_inv, rs))
+    return trace_g(model, ricci_star(model, T))
 
 
 def conjugate(model: ModelPoint, T) -> np.ndarray:
@@ -124,6 +122,26 @@ def conjugate(model: ModelPoint, T) -> np.ndarray:
     T = check_quad(model, T)
     J = model.require_cplx()
     return np.einsum("abcd,ax,by,cz,du->xyzu", T, J, J, J, J, optimize=True)
+
+
+def conjugate_riccis(model: ModelPoint, T) -> tuple[np.ndarray, np.ndarray]:
+    """rho and rho* of conjugate(T), without forming the conjugate.
+
+    With H = J g^-1: rho(Tbar) = J^T c(T, H J^T) J and
+    rho*(Tbar) = J^T c(T, H (J^2)^T) J^2, where c(T, K)(q, r) is
+    sum_{p,s} K[p,s] T[p,q,r,s].  Both hold for any J, so a structure that
+    fails the axioms gets the same contractions as ``ricci(conjugate(T))``.
+    """
+    T = check_quad(model, T)
+    J = model.require_cplx()
+    J2 = J @ J
+    H = J @ model.metric_inv
+    return J.T @ _contract(T, H @ J.T) @ J, J.T @ _contract(T, H @ J2.T) @ J2
+
+
+def _contract(T: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """c(T, K)(q, r) = sum_{p,s} K[p,s] T[p,q,r,s]."""
+    return np.einsum("ps,pqrs->qr", K, T)
 
 
 def trace_g(model: ModelPoint, S) -> float:

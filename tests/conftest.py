@@ -55,6 +55,138 @@ def oracle_quad_eval(T, x, y, z, u):
     return acc
 
 
+def oracle_pull_slots(T, A, slots=(0, 1, 2, 3)):
+    """T with the vectors in the given slots replaced by A applied to them:
+    out[..., x, ...] = sum_a T[..., a, ...] A[a, x], one slot at a time."""
+    m = T.shape[0]
+    out = np.array(T, dtype=float)
+    for slot in slots:
+        new = np.zeros_like(out)
+        for idx in np.ndindex(*out.shape):
+            acc = 0.0
+            for a in range(m):
+                acc += out[idx[:slot] + (a,) + idx[slot + 1:]] * A[a, idx[slot]]
+            new[idx] = acc
+        out = new
+    return out
+
+
+def oracle_ricci_general(ginv, T):
+    """sum_{i,l} ginv[i,l] T(e_i, y, z, e_l) for any metric, by explicit loops."""
+    m = T.shape[0]
+    out = np.zeros((m, m))
+    for y in range(m):
+        for z in range(m):
+            out[y, z] = sum(ginv[i, l] * T[i, y, z, l] for i in range(m) for l in range(m))
+    return out
+
+
+def oracle_ricci_star_general(ginv, J, T):
+    """sum_{i,l} ginv[i,l] T(e_i, y, Je_z, Je_l): J pulled into slots 3 and 4."""
+    return oracle_ricci_general(ginv, oracle_pull_slots(T, J, (2, 3)))
+
+
+def _oracle_twisted(g, J, S):
+    """The form (a, b) -> S(a, J b) by explicit loops."""
+    m = len(g)
+    return np.array([[sum(S[a, c] * J[c, b] for c in range(m)) for b in range(m)]
+                     for a in range(m)])
+
+
+def oracle_phi(g, S):
+    """phi(S)(x,y,z,u) = g(y,z)S(x,u) - g(x,z)S(y,u) + g(x,u)S(y,z) - g(y,u)S(x,z)."""
+    m = len(g)
+    out = np.zeros((m,) * 4)
+    for x, y, z, u in np.ndindex(*out.shape):
+        out[x, y, z, u] = (g[y, z] * S[x, u] - g[x, z] * S[y, u]
+                           + g[x, u] * S[y, z] - g[y, u] * S[x, z])
+    return out
+
+
+def oracle_psi(g, J, S):
+    """psi(S)(x,y,z,u) = w(y,z)s(x,u) - w(x,z)s(y,u) - 2 w(x,y)s(z,u)
+    + w(x,u)s(y,z) - w(y,u)s(x,z) - 2 w(z,u)s(x,y), w = g(., J.), s = S(., J.)."""
+    w, s = _oracle_twisted(g, J, g), _oracle_twisted(g, J, S)
+    m = len(g)
+    out = np.zeros((m,) * 4)
+    for x, y, z, u in np.ndindex(*out.shape):
+        out[x, y, z, u] = (w[y, z] * s[x, u] - w[x, z] * s[y, u] - 2.0 * w[x, y] * s[z, u]
+                           + w[x, u] * s[y, z] - w[y, u] * s[x, z] - 2.0 * w[z, u] * s[x, y])
+    return out
+
+
+def oracle_pi1(g):
+    """pi1(x,y,z,u) = g(y,z)g(x,u) - g(x,z)g(y,u)."""
+    m = len(g)
+    out = np.zeros((m,) * 4)
+    for x, y, z, u in np.ndindex(*out.shape):
+        out[x, y, z, u] = g[y, z] * g[x, u] - g[x, z] * g[y, u]
+    return out
+
+
+def oracle_pi2(g, J):
+    """pi2(x,y,z,u) = g(y,Jz)g(x,Ju) - g(x,Jz)g(y,Ju) - 2 g(x,Jy)g(z,Ju)."""
+    w = _oracle_twisted(g, J, g)
+    m = len(g)
+    out = np.zeros((m,) * 4)
+    for x, y, z, u in np.ndindex(*out.shape):
+        out[x, y, z, u] = w[y, z] * w[x, u] - w[x, z] * w[y, u] - 2.0 * w[x, y] * w[z, u]
+    return out
+
+
+def oracle_conformal(g, R):
+    """C = R - phi(rho)/(m-2) + tau pi1/((m-1)(m-2))."""
+    m = len(g)
+    ginv = np.linalg.inv(g)
+    rho = oracle_ricci_general(ginv, R)
+    tau = sum(ginv[i, j] * rho[i, j] for i in range(m) for j in range(m))
+    return R - oracle_phi(g, rho) / (m - 2) + tau * oracle_pi1(g) / ((m - 1) * (m - 2))
+
+
+def oracle_bochner(g, J, R):
+    """The Bochner tensor term by term, as in the canonical.bochner docstring:
+    R - (phi + psi)(s1)/(16(n+2)) - (3 phi - psi)(s2)/(16(n-2))
+      - psi(s3)/(4(n+1)) + phi(s4)/(4(n-1)) + c1 (pi1 + pi2) + c2 (3 pi1 - pi2)."""
+    m = len(g)
+    n = m // 2
+    ginv = np.linalg.inv(g)
+    conj = oracle_pull_slots(R, J)
+    plus, minus = R + conj, R - conj
+
+    def rho(T):
+        return oracle_ricci_general(ginv, T)
+
+    def rho_star(T):
+        return oracle_ricci_star_general(ginv, J, T)
+
+    def trace(S):
+        return sum(ginv[i, j] * S[i, j] for i in range(m) for j in range(m))
+
+    rho_plus, rho_star_plus = rho(plus), rho_star(plus)
+    s1 = rho_plus + 3.0 * rho_star_plus
+    s2 = rho_plus - rho_star_plus
+    s3 = rho_star(minus)
+    s4 = rho(minus)
+    tau, tau_star = trace(rho(R)), trace(rho_star(R))
+    p1, p2 = oracle_pi1(g), oracle_pi2(g, J)
+    return (R
+            - (oracle_phi(g, s1) + oracle_psi(g, J, s1)) / (16.0 * (n + 2))
+            - (3.0 * oracle_phi(g, s2) - oracle_psi(g, J, s2)) / (16.0 * (n - 2))
+            - oracle_psi(g, J, s3) / (4.0 * (n + 1)) + oracle_phi(g, s4) / (4.0 * (n - 1))
+            + (tau + 3.0 * tau_star) * (p1 + p2) / (16.0 * (n + 1) * (n + 2))
+            + (tau - tau_star) * (3.0 * p1 - p2) / (16.0 * (n - 1) * (n - 2)))
+
+
+def pulled_back_hermitian(m, index, seed=0):
+    """hermitian_model(m, index) pulled back by a random invertible A:
+    metric A^T g A and J = A^-1 J0 A, so neither is diagonal or standard."""
+    rng = np.random.default_rng(seed)
+    A = np.eye(m) + 0.3 * rng.uniform(-1.0, 1.0, (m, m))
+    base = hermitian_model(m, index)
+    return ModelPoint(m, index, metric=A.T @ base.metric @ A,
+                      cplx=np.linalg.solve(A, base.cplx @ A))
+
+
 def non_diagonal_model(m, index, seed=0):
     """Signature (index, m - index) with a metric A^T diag(-1.., +1..) A."""
     rng = np.random.default_rng(seed)

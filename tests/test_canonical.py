@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocurv import (
+    ModelPoint,
+    Tolerance,
     bochner,
     build_conformally_flat,
     build_constant_curvature,
@@ -31,7 +35,16 @@ from isocurv.errors import (
 )
 from isocurv.tensors import max_norm, trace_g
 
-from conftest import random_symmetric
+from conftest import (
+    oracle_bochner,
+    oracle_conformal,
+    oracle_phi,
+    oracle_pi1,
+    oracle_pi2,
+    oracle_psi,
+    pulled_back_hermitian,
+    random_symmetric,
+)
 
 
 class TestPhiPsi:
@@ -217,3 +230,84 @@ class TestTheorem6Identities:
     def test_sample_count_below_one_rejected(self, h44, samples):
         with pytest.raises(InvalidSampleCount):
             theorem6_identities(h44, pi1(h44), samples=samples)
+
+
+def _close(got, want, rel=1e-12):
+    return max_norm(got - want) <= rel * max(1.0, max_norm(want))
+
+
+class TestLoopOracles:
+    """Derived tensors against explicit component loops written from the
+    formulas, on a non-diagonal metric with J pulled back by a random A."""
+
+    @pytest.fixture(params=[(6, 2), (8, 4)], ids=["m6", "m8"])
+    def model(self, request):
+        return pulled_back_hermitian(*request.param, seed=5)
+
+    def test_phi_psi(self, model):
+        g, J = model.metric, model.cplx
+        S = random_symmetric(np.random.default_rng(1), model.dim)
+        assert _close(phi(model, S), oracle_phi(g, S))
+        assert _close(psi(model, S, enforce_hybrid=False), oracle_psi(g, J, S))
+
+    def test_pi1_pi2(self, model):
+        assert _close(pi1(model), oracle_pi1(model.metric))
+        assert _close(pi2(model), oracle_pi2(model.metric, model.cplx))
+
+    def test_conformal(self, model):
+        R = random_curvature_like(model, 2)
+        assert _close(conformal(model, R), oracle_conformal(model.metric, R))
+
+    def test_bochner(self, model):
+        R = random_curvature_like(model, 3)
+        assert _close(bochner(model, R), oracle_bochner(model.metric, model.cplx, R))
+
+
+def _pullback(T, A):
+    return np.einsum("abcd,ax,by,cz,du->xyzu", T, A, A, A, A, optimize=True)
+
+
+class TestNaturality:
+    """For the model pulled back by A (metric A^T g A, J = A^-1 J A), the
+    derived tensors of A*R are A* of the derived tensors of R."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(6, 2), (8, 4)]))
+    def test_bochner_and_conformal_commute_with_pullback(self, seed, dims):
+        base = hermitian_model(*dims)
+        rng = np.random.default_rng(seed)
+        A = np.eye(base.dim) + 0.4 * rng.uniform(-1.0, 1.0, (base.dim, base.dim))
+        pulled = ModelPoint(base.dim, base.index, metric=A.T @ base.metric @ A,
+                            cplx=np.linalg.solve(A, base.cplx @ A))
+        R = random_curvature_like(base, seed % 1000)
+        for derived in (bochner, conformal):
+            want = _pullback(derived(base, R), A)
+            assert _close(derived(pulled, _pullback(R, A)), want, rel=1e-10)
+
+
+class TestScaledHybridChecks:
+    def test_hybrid_ok_scales_with_the_forms(self):
+        # rounding in rho, rho* of a 1e6-sized space form leaves hybrid
+        # residuals near 1e-8, far below 1e-9 of the forms' own size
+        model = pulled_back_hermitian(8, 4, seed=0)
+        R = 1e6 * build_space_form(model, 0.5, 2.0)
+        d = bochner(model, R, details=True)
+        assert max(d.hybrid_residuals.values()) > 1e-9
+        assert d.hybrid_ok()
+        assert d.hybrid_ok(Tolerance(1e-9))
+
+    def test_hybrid_ok_detects_violation(self, h44):
+        T = np.random.default_rng(0).uniform(-1.0, 1.0, (8,) * 4)
+        T = T - T.transpose(1, 0, 2, 3)
+        T = T - T.transpose(0, 1, 3, 2)
+        assert not bochner(h44, T, details=True).hybrid_ok()
+
+    def test_antiholomorphic_note_uses_given_tolerance(self, h44):
+        T = np.random.default_rng(0).uniform(-1.0, 1.0, (8,) * 4)
+        T = T - T.transpose(1, 0, 2, 3)
+        T = T - T.transpose(0, 1, 3, 2)
+        loose, strict = [], []
+        antiholomorphic_form_residual(h44, T, 0.0, notes=loose, tol=10.0)
+        antiholomorphic_form_residual(h44, T, 0.0, notes=strict, tol=Tolerance(1e-9))
+        assert not loose
+        assert strict and "hybrid" in strict[0]

@@ -254,6 +254,34 @@ class TestNonFiniteTensor:
         assert "NaN or infinite" in capsys.readouterr().err
 
 
+class TestBadTolerance:
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_usage_error(self, tmp_path, capsys, tol):
+        doc_path = tmp_path / "cc.json"
+        run("gen", "const-curv", "--dim", "4", "--index", "2", "--c", "1.0",
+            "--out", str(doc_path))
+        capsys.readouterr()
+        assert run("diagnose", str(doc_path), "--tensor", "R",
+                   "--theorem", "ThmA_weakIso_constK", "--tol", tol) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+
+class TestMalformedDocument:
+    @pytest.mark.parametrize("fields", [
+        {"metric": [[-1, 0, 0, 0], [0, -1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+        {"J": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0], [0, 0, 1, 0]]},
+        {"tensors": {"R": ["x"] + [0.0] * 255}},
+        {"tensors": [0.0] * 256},
+    ], ids=["ragged-metric", "ragged-J", "non-numeric-entry", "tensors-not-a-map"])
+    def test_diagnose_usage_error(self, tmp_path, capsys, fields):
+        obj = {"dim": 4, "index": 2, "tensors": {"R": [0.0] * 256}}
+        obj.update(fields)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert run("diagnose", str(path), "--tensor", "R", "--theorem", "flatness") == 2
+        assert "error" in capsys.readouterr().err
+
+
 class TestDocumentIO:
     def test_round_trip_bit_exact(self, tmp_path):
         model = hermitian_model(6, 2)

@@ -86,6 +86,46 @@ class TestFlatnessNorms:
         assert norms.const_curv_residual > 1e-3
 
 
+class _CallCounter:
+    def __init__(self, monkeypatch, module, names):
+        self.calls = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(module, name, self._wrap(name, getattr(module, name)))
+
+    def _wrap(self, name, fn):
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+class TestDerivedTensorsBuiltOnce:
+    def test_fuzz_shares_conformal_and_bochner_within_a_trial(self, h44, monkeypatch):
+        import isocurv.diagnostics as diag
+
+        counter = _CallCounter(monkeypatch, diag, ["conformal", "bochner"])
+        summary = fuzz(h44, trials=3, seed=1, samples=5)
+        assert not summary["inconsistencies"]
+        assert counter.calls == {"conformal": 3, "bochner": 3}
+
+    def test_flatness_norms_builds_each_tensor_once(self, h44, monkeypatch):
+        import isocurv.diagnostics as diag
+
+        R = random_curvature_like(h44, 5)
+        want = flatness_norms(h44, R)
+        counter = _CallCounter(monkeypatch, diag, ["pi1", "pi2", "conformal", "bochner",
+                                                   "antiholomorphic_form_residual"])
+        assert flatness_norms(h44, R) == want
+        assert set(counter.calls.values()) == {1}
+
+    def test_equivalence_check_alone_matches_fuzz_sharing(self, h44):
+        R = random_curvature_like(h44, 0, 0)
+        summary = fuzz(h44, trials=1, seed=0, samples=5)
+        for tid in applicable_theorems(h44):
+            rep = equivalence_check(h44, R, tid, 5, 0)
+            assert summary["checks"][tid.value]["consistent"] == int(rep.verdict)
+
+
 class TestEquivalence:
     def test_thm_a_both_pass(self, m22):
         rep = equivalence_check(m22, build_constant_curvature(m22, 2.0),

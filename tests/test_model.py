@@ -10,7 +10,7 @@ from isocurv import (
     standard_complex_structure,
     validate_complex_structure,
 )
-from isocurv.errors import DimensionMismatch, InvalidModel
+from isocurv.errors import DimensionMismatch, InvalidModel, InvalidTolerance
 
 
 def test_inner_timelike_direction():
@@ -98,3 +98,26 @@ def test_tolerance_positive():
         Tolerance(0.0)
     assert Tolerance(1e-6).threshold(np.array([5.0])) == pytest.approx(5e-6)
     assert Tolerance(1e-6).threshold(np.array([0.1])) == pytest.approx(1e-6)
+
+
+@pytest.mark.parametrize("rel", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tolerance_is_typed(rel):
+    with pytest.raises(InvalidTolerance):
+        Tolerance(rel)
+
+
+def test_small_scaled_metric_is_nondegenerate():
+    # |det| = 1e-21 here; nondegeneracy does not depend on the metric's scale
+    g = 1e-3 * signature_metric(7, 2)
+    assert np.array_equal(ModelPoint(7, 2, metric=g).metric, g)
+    assert ModelPoint(4, 2, metric=1e6 * signature_metric(4, 2)).dim == 4
+
+
+@pytest.mark.parametrize("g", [
+    1e6 * np.array([[1.0, 1.0], [1.0, 1.0]]),   # singular at any scale
+    np.diag([1e9, 1e9, 1e-10]),                 # |det| = 1e8, singular to working precision
+    np.array([[1.0, np.inf], [np.inf, 1.0]]),
+], ids=["scaled-singular", "large-det-ill-conditioned", "infinite"])
+def test_singular_metric_rejected(g):
+    with pytest.raises(InvalidModel):
+        ModelPoint(len(g), 0, metric=g)

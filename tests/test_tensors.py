@@ -19,13 +19,17 @@ from isocurv import (
 )
 from isocurv.diagnostics import random_curvature_like
 from isocurv.errors import MissingComplexStructure
+from isocurv.tensors import conjugate_riccis
 
 from conftest import (
     non_diagonal_model,
     oracle_quad_eval,
     oracle_ricci,
+    oracle_ricci_general,
     oracle_ricci_star,
+    oracle_ricci_star_general,
     oracle_scalar,
+    pulled_back_hermitian,
 )
 
 
@@ -149,6 +153,32 @@ class TestConjugate:
     def test_involution(self, h44):
         T = random_curvature_like(h44, 2)
         assert np.allclose(conjugate(h44, conjugate(h44, T)), T, atol=1e-12)
+
+
+class TestGeneralMetricContractions:
+    """Ricci-type contractions on a non-diagonal metric, and those of the
+    conjugate tensor taken without forming it."""
+
+    @pytest.mark.parametrize("dims", [(6, 2), (8, 4)])
+    def test_ricci_and_ricci_star_match_loop_oracles(self, dims):
+        model = pulled_back_hermitian(*dims, seed=7)
+        T = np.random.default_rng(1).uniform(-1.0, 1.0, (dims[0],) * 4)
+        ginv = np.linalg.inv(model.metric)
+        assert np.allclose(ricci(model, T), oracle_ricci_general(ginv, T), rtol=0, atol=1e-12)
+        assert np.allclose(ricci_star(model, T), oracle_ricci_star_general(ginv, model.cplx, T),
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("valid_j", [True, False], ids=["hermitian", "arbitrary-J"])
+    def test_conjugate_riccis_match_full_conjugate(self, valid_j):
+        model = pulled_back_hermitian(8, 4, seed=3)
+        if not valid_j:  # the identities hold for any J, not only J^2 = -1
+            J = np.random.default_rng(4).uniform(-1.0, 1.0, (8, 8))
+            model = ModelPoint(8, 4, metric=model.metric, cplx=J)
+        T = np.random.default_rng(2).uniform(-1.0, 1.0, (8,) * 4)
+        rho_bar, rho_star_bar = conjugate_riccis(model, T)
+        full = conjugate(model, T)
+        for got, want in ((rho_bar, ricci(model, full)), (rho_star_bar, ricci_star(model, full))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 class TestQuadEvalBatch:
