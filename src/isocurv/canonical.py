@@ -32,14 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    HybridConditionViolated,
-    IsocurvError,
-    UnsupportedSignature,
-)
+from .errors import DimensionMismatch, HybridConditionViolated, IsocurvError
 from .model import ModelPoint, Tolerance, as_tolerance
-from .planes import _random_frame, _sample_rng, check_count
+from .planes import PLUS_MINUS_PAIR, check_count, random_frame, sample_rng
 from .tensors import (
     check_quad,
     conjugate_riccis,
@@ -272,8 +267,7 @@ def theorem6_identities(model: ModelPoint, R, samples: int = 100, seed: int = 0,
     m = model.dim
     if m % 2 or m < 6:
         raise DimensionMismatch("needs even dimension >= 6")
-    if model.index < 1 or m - model.index < 1:
-        raise UnsupportedSignature("the mixed-pair identity needs a (+,-) orthonormal pair")
+    PLUS_MINUS_PAIR.require(model, "the mixed-pair identity")
     scale = residual_scale(R)
     check_count(samples)
     n = m // 2
@@ -283,15 +277,12 @@ def theorem6_identities(model: ModelPoint, R, samples: int = 100, seed: int = 0,
     ts = trace_g(model, rs)
 
     # per sample: a spacelike unit x, then a (+,-) orthonormal pair (y, b)
-    xs, ys, bs = [], [], []
+    rows = []
     for i in range(samples):
-        rng = _sample_rng(seed, i)
-        (x,) = _random_frame(model, (1,), rng)
-        y, b = _random_frame(model, (1, -1), rng)
-        xs.append(x)
-        ys.append(y)
-        bs.append(b)
-    E, X, Y, B = np.eye(m), np.array(xs), np.array(ys), np.array(bs)
+        rng = sample_rng(seed, i)
+        rows.append(random_frame(model, (1,), rng) + random_frame(model, (1, -1), rng))
+    E = np.eye(m)
+    X, Y, B = np.array(rows).transpose(1, 0, 2)
     JE, JX, JY, JB = (A @ J.T for A in (E, X, Y, B))
 
     # every 4-vector evaluation in one kernel call, split by block below:

@@ -9,6 +9,7 @@ report next to the human-readable table on stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -20,16 +21,10 @@ from .canonical import (
     build_space_form,
     theorem6_identities,
 )
-from .diagnostics import (
-    TheoremId,
-    einstein_check,
-    equivalence_check,
-    flatness_norms,
-    fuzz,
-)
+from .diagnostics import THEOREMS, TheoremId, equivalence_check, flatness_norms, fuzz
 from .docio import TensorDocument, load_document, save_document
 from .errors import IsocurvError
-from .model import ModelPoint, Tolerance, hermitian_model, standard_complex_structure
+from .model import ModelPoint, Tolerance, hermitian_model
 from .planes import (
     Plane,
     PlaneClass,
@@ -86,14 +81,10 @@ def cmd_gen(args) -> int:
             if args.dim is None or args.index is None:
                 raise SystemExit("gen space-form needs --n/--s or --dim/--index")
             dim, index = args.dim, args.index
-        if dim % 2 or index % 2:
-            raise SystemExit("space forms need even dimension and even index")
         if args.mu is None or args.nu is None:
             raise SystemExit("gen space-form needs --mu and --nu")
         model = hermitian_model(dim, index)
         tensor = build_space_form(model, args.nu, args.mu)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown kind {args.kind}")
 
     doc = TensorDocument(model, {name: tensor}, meta={"generator": args.kind})
     save_document(doc, args.out)
@@ -140,17 +131,12 @@ def cmd_diagnose(args) -> int:
     R = doc.tensor(args.tensor)
     tol = Tolerance(args.tol)
     if args.theorem == "flatness":
-        norms = flatness_norms(model, R)
-        payload = {k: v for k, v in vars(norms).items()}
+        payload = vars(flatness_norms(model, R))
         for k, v in payload.items():
             print(f"{k}: {v if v is None else format(v, '.6e')}")
         _write_json(args, payload)
         return 0
-    tid = TheoremId(args.theorem)
-    if tid is TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI:
-        rep = einstein_check(model, R, args.samples, args.seed, tol)
-    else:
-        rep = equivalence_check(model, R, tid, args.samples, args.seed, tol)
+    rep = equivalence_check(model, R, TheoremId(args.theorem), args.samples, args.seed, tol)
     print(f"theorem: {args.theorem}")
     _print_report(rep)
     payload = {
@@ -175,21 +161,12 @@ def cmd_identities(args) -> int:
     if rep.optional_k_mixed_residual is not None:
         print(f"optional mixed-K identity residual:       {rep.optional_k_mixed_residual:.6e}")
     print(f"verdict: {'pass' if rep.verdict else 'fail'}")
-    payload = {
-        "basis_sum_residual": rep.basis_sum_residual,
-        "holomorphic_k_residual": rep.holomorphic_k_residual,
-        "mixed_pair_residual": rep.mixed_pair_residual,
-        "optional_k_mixed_residual": rep.optional_k_mixed_residual,
-        "samples_used": rep.samples_used,
-        "verdict": rep.verdict,
-    }
-    _write_json(args, payload)
+    _write_json(args, dataclasses.asdict(rep))
     return 0 if rep.verdict else 1
 
 
 def cmd_fuzz(args) -> int:
-    cplx = standard_complex_structure(args.dim, args.index) if args.complex else None
-    model = ModelPoint(args.dim, args.index, cplx=cplx)
+    model = hermitian_model(args.dim, args.index) if args.complex else ModelPoint(args.dim, args.index)
     summary = fuzz(model, args.trials, args.seed, args.samples, Tolerance(args.tol))
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -234,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("path")
     diag.add_argument("--tensor", required=True)
     diag.add_argument("--theorem", required=True,
-                      choices=[t.value for t in TheoremId] + ["flatness"])
+                      choices=[t.value for t in THEOREMS] + ["flatness"])
     diag.add_argument("--samples", type=int, default=200)
     _common(diag)
     diag.set_defaults(func=cmd_diagnose)

@@ -5,7 +5,8 @@ the hypothesis side by sampling planes of the quantified kind, the
 conclusion side by the exact closed-form criterion (conformal norm,
 Bochner norm, projection residual).  The verdict is *consistency*: both
 sides pass or both fail.  A one-sided outcome signals a bug and is
-surfaced, never silently resolved.
+surfaced, never silently resolved.  ``THEOREMS`` lists the checks: the
+kinds each samples, its exact side and the signatures where it holds.
 
 All residuals are relative-scaled by max(1, |T|_max) of the tensor under
 test, so verdicts compare directly against the relative tolerance.
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -29,14 +31,17 @@ from .canonical import (
 from .errors import UnsupportedSignature
 from .model import ModelPoint, Tolerance, as_tolerance
 from .planes import (
+    PLUS_MINUS_PAIR,
+    SIGNATURES,
     Frame,
     Plane,
     PlaneKind,
-    _random_frame,
-    _sample_rng,
+    Signature,
     check_count,
+    isotropic_vectors,
+    random_frame,
     sample_planes,
-    sectional_curvature,
+    sample_rng,
 )
 from .tensors import (
     check_quad,
@@ -44,7 +49,7 @@ from .tensors import (
     quad_eval_batch,
     residual_scale,
     ricci,
-    scalar_curv,
+    trace_g,
 )
 
 
@@ -125,8 +130,15 @@ class _ExactNorms:
     shares one across the theorems of a trial, so Theorems 1 and 2 use one
     conformal tensor and Theorems 6 and 7 one Bochner tensor."""
 
+    SIDE_NAMES = {"const_curv": "constant-curvature residual",
+                  "conformal": "conformal norm", "bochner": "Bochner norm"}
+
     def __init__(self, model: ModelPoint, R: np.ndarray, scale: float):
         self.model, self.R, self.scale = model, R, scale
+
+    @cached_property
+    def const_curv(self) -> float:
+        return _const_curv_fit(pi1(self.model), self.R, self.scale)[1]
 
     @cached_property
     def conformal(self) -> float:
@@ -164,20 +176,95 @@ def flatness_norms(model: ModelPoint, R) -> FlatnessNorms:
 # ---------------------------------------------------------------------------
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise UnsupportedSignature(msg)
-
-
-def _consistency_report(sides, tol: Tolerance, witness=None) -> DiagReport:
+def _consistency_report(sides, tol: Tolerance, count: int, witness=None,
+                        value_prefix: str = "residual ") -> DiagReport:
     """sides: list of (name, scaled_residual). Verdict: all agree."""
     passes = [r <= tol.rel for _, r in sides]
     verdict = all(passes) or not any(passes)
-    notes = [f"{name}: residual {r:.3e} -> {'pass' if ok else 'fail'}"
+    notes = [f"{name}: {value_prefix}{r:.3e} -> {'pass' if ok else 'fail'}"
              for (name, r), ok in zip(sides, passes)]
     worst = max(r for _, r in sides)
-    return DiagReport(worst, None if verdict else witness,
-                      0, verdict, notes)
+    return DiagReport(worst, None if verdict else witness, count, verdict, notes)
+
+
+def _vanishing_side(kind: PlaneKind) -> str:
+    return kind.value.replace("-", " ") + " vanishing"
+
+
+def _quadruple_sides(model, R, count, seed, tol, scale):
+    """Theorem 2: R(x,y,a,b) and the sectional-curvature relation on (+,+,-,-)
+    quadruples; the witness is the quadruple worst on either."""
+    quads = sample_planes(model, PlaneKind.QUADRUPLE_PPMM, count, seed)
+    X, Y, A, B = quads.vectors.transpose(1, 0, 2)
+
+    def kval(U, V, sign):
+        return sign * quad_eval_batch(R, U, V, V, U)
+
+    v2 = np.abs(quad_eval_batch(R, X, Y, A, B)) / scale
+    v3 = np.abs(kval(X, Y, 1) + kval(A, B, 1) - kval(X, A, -1) - kval(Y, B, -1)) / scale
+    sides = [("quadruple component vanishing", float(np.max(v2))),
+             ("sectional curvature relation", float(np.max(v3)))]
+    return sides, quads[int(np.argmax(np.maximum(v2, v3)))]
+
+
+def _antiholomorphic_spread_sides(model, R, count, seed, tol, scale):
+    """Theorem 5: weakly isotropic antiholomorphic vanishing against the
+    spread of sectional curvatures over nondegenerate antiholomorphic planes."""
+    kind = PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC
+    hyp = vanishing_report(model, R, kind, count, seed, tol)
+    planes = sample_planes(model, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, count, seed)
+    U, V = planes.U, planes.V
+    g = model.metric
+    disc = (np.einsum("ki,ij,kj->k", U, g, U) * np.einsum("ki,ij,kj->k", V, g, V)
+            - np.einsum("ki,ij,kj->k", U, g, V) ** 2)
+    ks = quad_eval_batch(R, U, V, V, U) / disc
+    spread = float(np.max(ks) - np.min(ks)) / scale
+    return [(_vanishing_side(kind), hyp.max_residual),
+            ("antiholomorphic curvature spread", spread)], hyp.witness
+
+
+@dataclass(frozen=True)
+class TheoremSpec:
+    """One equivalence.  It holds where every sampled kind exists and (s, m-s)
+    is at least ``least``.  Each kind gives one vanishing side unless
+    ``sides`` replaces them; ``exact`` names the ``_ExactNorms`` attribute
+    of the exact side; ``report`` replaces the whole check."""
+
+    kinds: tuple = ()
+    exact: str = None
+    sides: Callable = None   # (model, R, count, seed, tol, scale) -> (sides, witness)
+    report: Callable = None  # (model, R, count, seed, tol) -> DiagReport
+    least: tuple = (0, 0)
+
+    @cached_property
+    def signatures(self) -> list:
+        """(what, Signature) rows that must all fit the model."""
+        rows = [(f"kind {kind.value}", SIGNATURES[kind]) for kind in self.kinds]
+        return rows + [("the equivalence", Signature(False, {self.least: ()}))]
+
+
+THEOREMS = {
+    TheoremId.THM_A_WEAK_ISO_CONST_K:
+        TheoremSpec((PlaneKind.WEAKLY_ISOTROPIC,), exact="const_curv"),
+    TheoremId.THM_1_STRONG_ISO_CONF_FLAT:
+        TheoremSpec((PlaneKind.STRONGLY_ISOTROPIC,), exact="conformal"),
+    TheoremId.THM_2_QUADRUPLES:
+        TheoremSpec((PlaneKind.QUADRUPLE_PPMM,), exact="conformal", sides=_quadruple_sides),
+    TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI:
+        # einstein_check is looked up when called, so a wrapped one is honored
+        TheoremSpec(report=lambda *args: einstein_check(*args), least=(1, 1)),
+    TheoremId.THM_5_WEAK_ISO_ANTIHOL:
+        TheoremSpec((PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC,
+                     PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC),
+                    sides=_antiholomorphic_spread_sides),
+    TheoremId.THM_6_STRONG_ISO_ANTIHOL_BOCHNER:
+        TheoremSpec((PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC,), exact="bochner"),
+    TheoremId.THM_7_ISO_HOL_BOCHNER:
+        TheoremSpec((PlaneKind.ISOTROPIC_HOLOMORPHIC,), exact="bochner", least=(4, 4)),
+    TheoremId.LEMMA_2_EQUIV:
+        TheoremSpec((PlaneKind.ISOTROPIC_HOLOMORPHIC,
+                     PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC)),
+}
 
 
 def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 200,
@@ -190,106 +277,23 @@ def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 
     tol = as_tolerance(tol)
     R = check_quad(model, R)
     check_count(count)
-    s, pos = model.index, model.dim - model.index
     scale = residual_scale(R)
+    spec = THEOREMS[theorem_id]
+    for what, row in spec.signatures:
+        row.require(model, f"{theorem_id.value}: {what}")
+    if spec.report is not None:
+        return spec.report(model, R, count, seed, tol)
 
-    if theorem_id is TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI:
-        return einstein_check(model, R, count, seed, tol)
-
-    exact = _ExactNorms(model, R, scale) if _exact is None else _exact
-
-    if theorem_id is TheoremId.THM_A_WEAK_ISO_CONST_K:
-        hyp = vanishing_report(model, R, PlaneKind.WEAKLY_ISOTROPIC, count, seed, tol)
-        _, const_res = _const_curv_fit(pi1(model), R, scale)
-        rep = _consistency_report(
-            [("weakly isotropic vanishing", hyp.max_residual),
-             ("constant-curvature residual", const_res)],
-            tol, witness=hyp.witness)
-    elif theorem_id is TheoremId.THM_1_STRONG_ISO_CONF_FLAT:
-        _require(s >= 2 and pos >= 2, "Theorem 1 needs s>=2 and m-s>=2")
-        hyp = vanishing_report(model, R, PlaneKind.STRONGLY_ISOTROPIC, count, seed, tol)
-        conf = exact.conformal
-        rep = _consistency_report(
-            [("strongly isotropic vanishing", hyp.max_residual),
-             ("conformal norm", conf)], tol, witness=hyp.witness)
-    elif theorem_id is TheoremId.THM_2_QUADRUPLES:
-        _require(s >= 2 and pos >= 2, "Theorem 2 needs s>=2 and m-s>=2")
-        quads = sample_planes(model, PlaneKind.QUADRUPLE_PPMM, count, seed)
-        X, Y, A, B = quads.vectors.transpose(1, 0, 2)
-
-        def kval(U, V, sign):
-            return sign * quad_eval_batch(R, U, V, V, U)
-
-        v2 = np.abs(quad_eval_batch(R, X, Y, A, B)) / scale
-        v3 = np.abs(kval(X, Y, 1) + kval(A, B, 1) - kval(X, A, -1) - kval(Y, B, -1)) / scale
-        r2 = float(np.max(v2))
-        r3 = float(np.max(v3))
-        worst = quads[int(np.argmax(np.maximum(v2, v3)))]
-        conf = exact.conformal
-        rep = _consistency_report(
-            [("quadruple component vanishing", r2),
-             ("sectional curvature relation", r3),
-             ("conformal norm", conf)], tol, witness=worst)
-    elif theorem_id is TheoremId.THM_5_WEAK_ISO_ANTIHOL:
-        _require(model.dim >= 6, "Theorem 5 needs complex dimension >= 3")
-        hyp = vanishing_report(model, R, PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC,
-                               count, seed, tol)
-        planes = sample_planes(model, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, count, seed)
-        U, V = planes.U, planes.V
-        g = model.metric
-        disc = (np.einsum("ki,ij,kj->k", U, g, U) * np.einsum("ki,ij,kj->k", V, g, V)
-                - np.einsum("ki,ij,kj->k", U, g, V) ** 2)
-        ks = quad_eval_batch(R, U, V, V, U) / disc
-        spread = float(np.max(ks) - np.min(ks)) / scale
-        rep = _consistency_report(
-            [("weakly isotropic antiholomorphic vanishing", hyp.max_residual),
-             ("antiholomorphic curvature spread", spread)], tol, witness=hyp.witness)
-    elif theorem_id is TheoremId.THM_6_STRONG_ISO_ANTIHOL_BOCHNER:
-        _require(s >= 4 and pos >= 4, "Theorem 6 needs complex s>=2 and n-s>=2")
-        hyp = vanishing_report(model, R, PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC,
-                               count, seed, tol)
-        boch = exact.bochner
-        rep = _consistency_report(
-            [("strongly isotropic antiholomorphic vanishing", hyp.max_residual),
-             ("Bochner norm", boch)], tol, witness=hyp.witness)
-    elif theorem_id is TheoremId.THM_7_ISO_HOL_BOCHNER:
-        _require(s >= 4 and pos >= 4, "Theorem 7 needs complex s>=2 and n-s>=2")
-        hyp = vanishing_report(model, R, PlaneKind.ISOTROPIC_HOLOMORPHIC, count, seed, tol)
-        boch = exact.bochner
-        rep = _consistency_report(
-            [("isotropic holomorphic vanishing", hyp.max_residual),
-             ("Bochner norm", boch)], tol, witness=hyp.witness)
-    elif theorem_id is TheoremId.LEMMA_2_EQUIV:
-        _require(s >= 4 and pos >= 4, "Lemma 2 needs complex s>=2 and n-s>=2")
-        one = vanishing_report(model, R, PlaneKind.ISOTROPIC_HOLOMORPHIC, count, seed, tol)
-        two = vanishing_report(model, R, PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC,
-                               count, seed, tol)
-        rep = _consistency_report(
-            [("isotropic holomorphic vanishing", one.max_residual),
-             ("strongly isotropic antiholomorphic vanishing", two.max_residual)],
-            tol, witness=one.witness or two.witness)
+    if spec.sides is not None:
+        sides, witness = spec.sides(model, R, count, seed, tol, scale)
     else:
-        raise ValueError(f"unknown theorem id {theorem_id}")
-    rep.samples_used = count
-    return rep
-
-
-_ISOTROPIC_CACHE: dict = {}
-
-
-def _isotropic_vectors(model: ModelPoint, count: int, seed: int) -> np.ndarray:
-    """Seeded isotropic vectors x + a from (+,-) orthonormal pairs, memoized."""
-    from .planes import _model_key
-
-    key = (_model_key(model), count, seed)
-    hit = _ISOTROPIC_CACHE.get(key)
-    if hit is None:
-        hit = np.stack([np.add(*_random_frame(model, (1, -1), _sample_rng(seed, i)))
-                        for i in range(count)])
-        if len(_ISOTROPIC_CACHE) >= 64:
-            _ISOTROPIC_CACHE.clear()
-        _ISOTROPIC_CACHE[key] = hit
-    return hit
+        reps = [vanishing_report(model, R, kind, count, seed, tol) for kind in spec.kinds]
+        sides = [(_vanishing_side(kind), rep.max_residual) for kind, rep in zip(spec.kinds, reps)]
+        witness = next((rep.witness for rep in reps if rep.witness is not None), None)
+    if spec.exact is not None:
+        exact = _ExactNorms(model, R, scale) if _exact is None else _exact
+        sides.append((_ExactNorms.SIDE_NAMES[spec.exact], getattr(exact, spec.exact)))
+    return _consistency_report(sides, tol, count, witness)
 
 
 def einstein_check(model: ModelPoint, R, count: int = 200, seed: int = 0,
@@ -299,24 +303,23 @@ def einstein_check(model: ModelPoint, R, count: int = 200, seed: int = 0,
     tol = as_tolerance(tol)
     R = check_quad(model, R)
     residual_scale(R)  # rejects a non-finite R
-    check_count(count)
-    _require(model.index >= 1 and model.dim - model.index >= 1,
-             "isotropic vectors need an indefinite metric")
+    XI = isotropic_vectors(model, count, seed)
     rho = ricci(model, R)
-    tau = scalar_curv(model, R)
+    tau = trace_g(model, rho)
     scale = max(1.0, max_norm(rho))
-    XI = _isotropic_vectors(model, count, seed)
     vals = np.abs(np.einsum("ki,ij,kj->k", XI, rho, XI)) / scale
     k = int(np.argmax(vals))
-    worst, witness = float(vals[k]), XI[k]
     einstein_res = max_norm(rho - (tau / model.dim) * model.metric) / scale
-    hyp_pass = worst <= tol.rel
-    concl_pass = einstein_res <= tol.rel
-    verdict = hyp_pass == concl_pass
-    notes = [f"sampled max |rho(xi,xi)|: {worst:.3e} -> {'pass' if hyp_pass else 'fail'}",
-             f"Einstein residual: {einstein_res:.3e} -> {'pass' if concl_pass else 'fail'}"]
-    return DiagReport(max(worst, einstein_res),
-                      None if verdict else witness, count, verdict, notes)
+    sides = [("sampled max |rho(xi,xi)|", float(vals[k])), ("Einstein residual", einstein_res)]
+    return _consistency_report(sides, tol, count, XI[k], value_prefix="")
+
+
+# where the sampled pairs exist: (+,-) for B, antiholomorphic for C, both for Lemma 1
+_UNIQUENESS_SIGNATURES = {
+    UniquenessKind.THM_B: PLUS_MINUS_PAIR,
+    UniquenessKind.THM_C: SIGNATURES[PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC],
+    UniquenessKind.LEMMA_1: Signature(True, {(2, 2): (1, -1)}),
+}
 
 
 def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 200,
@@ -327,45 +330,34 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
     T = check_quad(model, T)
     scale = residual_scale(T)
     check_count(count)
+    row = _UNIQUENESS_SIGNATURES[kind]
+    options = row.require(model, f"{kind.value} sampling")
 
     if kind is UniquenessKind.THM_B:
-        _require(model.index >= 1 and model.dim - model.index >= 1,
-                 "needs a (+,-) orthonormal pair")
         g = model.metric
         rows = []
         for i in range(count):
-            rng = _sample_rng(seed, i)
-            x, y = _random_frame(model, (1, -1), rng)
+            rng = sample_rng(seed, i)
+            x, y = random_frame(model, row.pick(options, rng), rng)
             z = rng.uniform(-1.0, 1.0, model.dim)
             z = z - (z @ g @ x) * (x / (x @ g @ x)) - (z @ g @ y) * (y / (y @ g @ y))
             rows.append((x, y, z))
         X, Y, Z = np.array(rows).transpose(1, 0, 2)
         res = np.abs(quad_eval_batch(T, X, Y, Z, X)) / scale
         k = int(np.argmax(res))
-        worst, witness = float(res[k]), Frame(np.stack(rows[k]), (1, -1, 0))
-        _, concl = _const_curv_fit(pi1(model), T, scale)
-        concl_name = "constant-curvature residual"
+        witness = Frame(np.stack(rows[k]), (1, -1, 0))
+        sides = [("sampled hypothesis residual", float(res[k])),
+                 ("constant-curvature residual", _ExactNorms(model, T, scale).const_curv)]
     else:
-        J = model.require_cplx()
-        spacelike_only = kind is UniquenessKind.LEMMA_1
-        pair_signs = (1, -1) if kind is UniquenessKind.LEMMA_1 else None
+        J = model.cplx
         rows = []
         for i in range(count):
-            rng = _sample_rng(seed, i)
-            if spacelike_only:
-                (x,) = _random_frame(model, (1,), rng)
+            rng = sample_rng(seed, i)
+            if kind is UniquenessKind.LEMMA_1:
+                (x,) = random_frame(model, (1,), rng)
             else:
                 x = rng.uniform(-1.0, 1.0, model.dim)
-            if pair_signs is None:
-                opts = [(1, 1)] if model.dim - model.index >= 4 else []
-                if model.index >= 2 and model.dim - model.index >= 2:
-                    opts.append((1, -1))
-                if model.index >= 4:
-                    opts.append((-1, -1))
-                signs = opts[rng.integers(len(opts))]
-            else:
-                signs = pair_signs
-            u, v = _random_frame(model, signs, rng, antiholomorphic=True)
+            u, v = random_frame(model, row.pick(options, rng), rng, antiholomorphic=True)
             rows.append((x, u, v))
         X, U, V = np.array(rows).transpose(1, 0, 2)
         JX, JU = X @ J.T, U @ J.T
@@ -375,17 +367,10 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
                                quad_eval_batch(T, U, V, V, U),
                                quad_eval_batch(T, U, JU, V, U)], axis=1)) / scale
         k, j = divmod(int(np.argmax(res)), 3)
-        worst = float(res[k, j])
         witness = Plane(X[k], JX[k]) if j == 0 else Plane(U[k], V[k])
-        concl = max_norm(T) / scale
-        concl_name = "tensor norm"
-
-    hyp_pass = worst <= tol.rel
-    concl_pass = concl <= tol.rel
-    verdict = hyp_pass == concl_pass
-    notes = [f"sampled hypothesis residual: {worst:.3e} -> {'pass' if hyp_pass else 'fail'}",
-             f"{concl_name}: {concl:.3e} -> {'pass' if concl_pass else 'fail'}"]
-    return DiagReport(max(worst, concl), None if verdict else witness, count, verdict, notes)
+        sides = [("sampled hypothesis residual", float(res[k, j])),
+                 ("tensor norm", max_norm(T) / scale)]
+    return _consistency_report(sides, tol, count, witness, value_prefix="")
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +385,7 @@ def random_curvature_like(model: ModelPoint, seed: int = 0, trial: int = 0) -> n
     then first-Bianchi-projected by subtracting the cyclic average (which
     is totally antisymmetric, so the other symmetries survive).
     """
-    rng = _sample_rng(seed, trial)
+    rng = sample_rng(seed, trial)
     N = rng.uniform(-1.0, 1.0, (model.dim,) * 4)
     T = (N - N.transpose(1, 0, 2, 3)) / 2.0
     T = (T - T.transpose(0, 1, 3, 2)) / 2.0
@@ -410,19 +395,9 @@ def random_curvature_like(model: ModelPoint, seed: int = 0, trial: int = 0) -> n
 
 
 def applicable_theorems(model: ModelPoint) -> list:
-    s, pos = model.index, model.dim - model.index
-    out = [TheoremId.THM_A_WEAK_ISO_CONST_K]
-    if s >= 2 and pos >= 2:
-        out += [TheoremId.THM_1_STRONG_ISO_CONF_FLAT, TheoremId.THM_2_QUADRUPLES]
-    if s >= 1 and pos >= 1:
-        out.append(TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI)
-    if model.has_cplx and model.dim >= 6 and model.dim % 2 == 0:
-        if (s >= 2 and pos >= 4) or (s >= 4 and pos >= 2):
-            out.append(TheoremId.THM_5_WEAK_ISO_ANTIHOL)
-        if s >= 4 and pos >= 4:
-            out += [TheoremId.THM_6_STRONG_ISO_ANTIHOL_BOCHNER,
-                    TheoremId.THM_7_ISO_HOL_BOCHNER, TheoremId.LEMMA_2_EQUIV]
-    return out
+    """The theorems whose signature rows all fit `model`, in table order."""
+    return [tid for tid, spec in THEOREMS.items()
+            if all(row.fitting(model) for _, row in spec.signatures)]
 
 
 def fuzz(model: ModelPoint, trials: int, seed: int = 0, samples: int = 100,
@@ -432,6 +407,9 @@ def fuzz(model: ModelPoint, trials: int, seed: int = 0, samples: int = 100,
     tol = as_tolerance(tol)
     check_count(samples)
     theorems = applicable_theorems(model)
+    if not theorems:
+        raise UnsupportedSignature(
+            f"no theorem applies to signature ({model.index},{model.dim - model.index})")
     counts = {t.value: {"consistent": 0, "inconsistent": 0} for t in theorems}
     inconsistencies = []
     for trial in range(trials):
@@ -439,10 +417,8 @@ def fuzz(model: ModelPoint, trials: int, seed: int = 0, samples: int = 100,
         exact = _ExactNorms(model, R, residual_scale(R))
         for tid in theorems:
             rep = equivalence_check(model, R, tid, samples, seed, tol, _exact=exact)
-            if rep.verdict:
-                counts[tid.value]["consistent"] += 1
-            else:
-                counts[tid.value]["inconsistent"] += 1
+            counts[tid.value]["consistent" if rep.verdict else "inconsistent"] += 1
+            if not rep.verdict:
                 inconsistencies.append({
                     "trial": trial,
                     "theorem": tid.value,

@@ -46,8 +46,19 @@ def save_document(doc: TensorDocument, path) -> None:
         fh.write("\n")
 
 
+def _only_numbers(value) -> bool:
+    """Whether JSON data is a number or nested lists of numbers: no strings,
+    booleans or nulls, which a float conversion would accept or hide."""
+    if type(value) is not list:
+        return type(value) in (int, float)
+    types = set(map(type, value))
+    return all(map(_only_numbers, value)) if list in types else types <= {int, float}
+
+
 def _numeric(value, what: str) -> np.ndarray:
     """A float array from JSON data; ragged or non-numeric data is InvalidDocument."""
+    if not _only_numbers(value):
+        raise InvalidDocument(f"{what} has a string, boolean or null entry")
     try:
         return np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -60,11 +71,9 @@ def load_document(path) -> TensorDocument:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidDocument(f"not valid JSON: {exc}") from exc
-    try:
-        dim = int(obj["dim"])
-        index = int(obj["index"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidDocument("document needs integer 'dim' and 'index'") from exc
+    dim, index = (obj.get(key) if isinstance(obj, dict) else None for key in ("dim", "index"))
+    if type(dim) is not int or type(index) is not int:
+        raise InvalidDocument("document needs integer 'dim' and 'index'")
     if not 0 <= index <= dim:
         raise InvalidDocument("declared index exceeds dimension")
     metric = _numeric(obj["metric"], "'metric'") if "metric" in obj else None

@@ -35,10 +35,9 @@ def standard_complex_structure(dim: int, index: int) -> np.ndarray:
     if dim % 2 or index % 2:
         raise InvalidModel("standard J needs even dimension and even index")
     J = np.zeros((dim, dim))
-    for start, stop in ((0, index), (index, dim)):
-        for i in range(start, stop, 2):
-            J[i + 1, i] = 1.0
-            J[i, i + 1] = -1.0
+    for i in range(0, dim, 2):  # index is even, so no pair straddles it
+        J[i + 1, i] = 1.0
+        J[i, i + 1] = -1.0
     return J
 
 
@@ -153,10 +152,6 @@ def inner(model: ModelPoint, x, y) -> float:
     x = model.check_vec(x)
     y = model.check_vec(y)
     return float(x @ model.metric @ y)
-
-
-def j_apply(model: ModelPoint, x) -> np.ndarray:
-    return model.require_cplx() @ model.check_vec(x)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ present, by their relation to J (holomorphic: J-invariant; antiholomorphic:
 orthogonal to its J-image).
 
 Sampling is deterministic: sample ``i`` of a call with seed ``k`` draws from
-``numpy.random.default_rng([k, i])`` (PCG64 seeded through numpy's
-SeedSequence mixing), so disjoint consumers can split work by sample index.
+``sample_rng(k, i)``, that is ``numpy.random.default_rng([k, i])`` (PCG64
+seeded through numpy's SeedSequence mixing), so disjoint consumers can split
+work by sample index.  ``SIGNATURES`` says where each kind exists.
 Every sampled object satisfies its kind's defining predicate by
 construction, not by rejection near the light cone.
 """
@@ -166,7 +167,7 @@ def gram_schmidt_indefinite(model, vectors, seed: int = 0, extend: bool = False,
         work = [v - sgn * inner(model, v, u) * u for v in work]
 
     if extend:
-        rng = np.random.default_rng([seed & _SEED_MASK, 0])
+        rng = sample_rng(seed, 0)
         while len(chosen) < model.dim:
             for _ in range(500):
                 v = rng.uniform(-1.0, 1.0, model.dim)
@@ -233,11 +234,62 @@ def sectional_curvature(model: ModelPoint, R, p: Plane, tol=Tolerance()) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _sample_rng(seed: int, i: int) -> np.random.Generator:
+@dataclass(frozen=True)
+class Signature:
+    """Where a sampled construction exists: whether it needs J, and its frame
+    sign options keyed by the least (s, m-s) realizing each, in order of
+    preference.  The sampler takes the first option that fits, or with
+    ``pick_at_random`` draws one from the sample's generator."""
+
+    needs_j: bool
+    options: dict  # (least_s, least_pos) -> frame signs
+    pick_at_random: bool = False
+
+    def fitting(self, model: ModelPoint) -> list:
+        """The sign options realizable on `model`, in table order."""
+        if self.needs_j and not model.has_cplx:
+            return []
+        s, pos = model.index, model.dim - model.index
+        return [signs for (a, b), signs in self.options.items() if s >= a and pos >= b]
+
+    def require(self, model: ModelPoint, what: str) -> list:
+        """`fitting(model)`, or UnsupportedSignature naming `what` when empty."""
+        options = self.fitting(model)
+        if not options:
+            need = (" without J" if self.needs_j and not model.has_cplx else
+                    "; needs (s, m-s) >= " + " or ".join(f"({a},{b})" for a, b in self.options))
+            raise UnsupportedSignature(
+                f"{what} impossible for signature ({model.index},{model.dim - model.index}){need}")
+        return options
+
+    def pick(self, options: list, rng: np.random.Generator) -> tuple:
+        return options[rng.integers(len(options))] if self.pick_at_random else options[0]
+
+
+# One row per plane kind; _sample_one combines the frame into the plane:
+# x + a is isotropic for a (+,-) pair (x, a).
+SIGNATURES = {
+    PlaneKind.WEAKLY_ISOTROPIC: Signature(False, {(1, 2): (1, 1, -1), (2, 1): (-1, -1, 1)}),
+    PlaneKind.STRONGLY_ISOTROPIC: Signature(False, {(2, 2): (1, 1, -1, -1)}),
+    PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC:
+        Signature(True, {(2, 4): (1, 1, -1), (4, 2): (-1, -1, 1)}),
+    PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC: Signature(True, {(4, 4): (1, 1, -1, -1)}),
+    PlaneKind.ISOTROPIC_HOLOMORPHIC: Signature(True, {(1, 2): (1,), (2, 1): (-1,)}),
+    PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC:
+        Signature(True, {(0, 4): (1, 1), (2, 2): (1, -1), (4, 0): (-1, -1)}, pick_at_random=True),
+    PlaneKind.QUADRUPLE_PPMM: Signature(False, {(2, 2): _QUADRUPLE_SIGNS}),
+    PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM: Signature(True, {(4, 4): _QUADRUPLE_SIGNS}),
+}
+# a (+,-) orthonormal pair (x, a); x + a is isotropic
+PLUS_MINUS_PAIR = Signature(False, {(1, 1): (1, -1)})
+
+
+def sample_rng(seed: int, i: int) -> np.random.Generator:
+    """The generator of sample `i` of the stream with seed `seed`."""
     return np.random.default_rng([seed & _SEED_MASK, i])
 
 
-def _random_frame(model, signs, rng, antiholomorphic=False, orthogonal_to=()):
+def random_frame(model, signs, rng, antiholomorphic=False, orthogonal_to=()) -> list:
     """Orthonormal frame with prescribed sign labels by projection + rejection.
 
     With ``antiholomorphic=True`` each new vector is also projected off the
@@ -274,77 +326,44 @@ def _random_frame(model, signs, rng, antiholomorphic=False, orthogonal_to=()):
     return [u for u, _ in chosen]
 
 
-def _kind_admissible(model: ModelPoint, kind: PlaneKind) -> bool:
-    s, pos = model.index, model.dim - model.index
-    has_j = model.has_cplx
-    if kind is PlaneKind.WEAKLY_ISOTROPIC:
-        return (s >= 1 and pos >= 2) or (s >= 2 and pos >= 1)
-    if kind in (PlaneKind.STRONGLY_ISOTROPIC, PlaneKind.QUADRUPLE_PPMM):
-        return s >= 2 and pos >= 2
-    if kind is PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC:
-        return has_j and ((s >= 2 and pos >= 4) or (s >= 4 and pos >= 2))
-    if kind in (PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC,
-                PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM):
-        return has_j and s >= 4 and pos >= 4
+def _sample_one(model: ModelPoint, kind: PlaneKind, options: list, rng):
+    """Basis rows of one sample: (x, y) of a plane, or a quadruple's frame,
+    from a frame with one of the kind's fitting sign `options`."""
+    signs = SIGNATURES[kind].pick(options, rng)
     if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
-        return has_j and ((s >= 1 and pos >= 2) or (s >= 2 and pos >= 1))
-    if kind is PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC:
-        return has_j and (pos >= 4 or s >= 4 or (s >= 2 and pos >= 2))
-    raise ValueError(f"unknown plane kind {kind}")
-
-
-def _sample_one(model: ModelPoint, kind: PlaneKind, rng):
-    """Basis rows of one sample: (x, y) of a plane, or a quadruple's frame."""
-    s, pos = model.index, model.dim - model.index
-    if kind is PlaneKind.WEAKLY_ISOTROPIC:
-        if s >= 1 and pos >= 2:
-            x, y, a = _random_frame(model, (1, 1, -1), rng)
-        else:
-            x, y, a = _random_frame(model, (-1, -1, 1), rng)
-        return x + a, y
-    if kind is PlaneKind.STRONGLY_ISOTROPIC:
-        x, y, a, b = _random_frame(model, (1, 1, -1, -1), rng)
-        return x + a, y + b
-    if kind is PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC:
-        if s >= 2 and pos >= 4:
-            x, y, a = _random_frame(model, (1, 1, -1), rng, antiholomorphic=True)
-        else:
-            x, y, a = _random_frame(model, (-1, -1, 1), rng, antiholomorphic=True)
-        return y + a, x
-    if kind is PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC:
-        x, y, a, b = _random_frame(model, (1, 1, -1, -1), rng, antiholomorphic=True)
-        return x + a, y + b
-    if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
-        J = model.cplx
-        sgn = 1 if (pos >= 2 and s >= 1) else -1
-        (x,) = _random_frame(model, (sgn,), rng)
-        (a,) = _random_frame(model, (-sgn,), rng, orthogonal_to=(x,))
+        (x,) = random_frame(model, signs, rng)
+        (a,) = random_frame(model, (-signs[0],), rng, orthogonal_to=(x,))
         xi = x + a
-        return xi, J @ xi
-    if kind is PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC:
-        options = []
-        if pos >= 4:
-            options.append((1, 1))
-        if s >= 2 and pos >= 2:
-            options.append((1, -1))
-        if s >= 4:
-            options.append((-1, -1))
-        signs = options[rng.integers(len(options))]
-        return _random_frame(model, signs, rng, antiholomorphic=True)
-    if kind is PlaneKind.QUADRUPLE_PPMM:
-        return _random_frame(model, _QUADRUPLE_SIGNS, rng)
-    if kind is PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM:
-        return _random_frame(model, _QUADRUPLE_SIGNS, rng, antiholomorphic=True)
-    raise ValueError(f"unknown plane kind {kind}")
+        return xi, model.cplx @ xi
+    # every other kind that needs J is antiholomorphic
+    frame = random_frame(model, signs, rng, antiholomorphic=SIGNATURES[kind].needs_j)
+    if kind is PlaneKind.WEAKLY_ISOTROPIC:
+        x, y, a = frame
+        return x + a, y
+    if kind is PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC:
+        x, y, a = frame
+        return y + a, x
+    if kind in (PlaneKind.STRONGLY_ISOTROPIC, PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC):
+        x, y, a, b = frame
+        return x + a, y + b
+    return frame  # nondegenerate antiholomorphic planes and the quadruples
 
 
-_PLANE_CACHE: dict = {}
-_PLANE_CACHE_LIMIT = 64
+_SAMPLE_CACHE: dict = {}
+_SAMPLE_CACHE_LIMIT = 64
 
 
-def _model_key(model: ModelPoint):
-    return (model.dim, model.index, model.metric.tobytes(),
-            model.cplx.tobytes() if model.has_cplx else None)
+def _memoized(model: ModelPoint, what, count: int, seed: int, build):
+    """``build()``, memoized per (model, what, count, seed) in one bounded cache."""
+    key = (model.dim, model.index, model.metric.tobytes(),
+           model.cplx.tobytes() if model.has_cplx else None, what, count, seed)
+    hit = _SAMPLE_CACHE.get(key)
+    if hit is None:
+        hit = build()
+        if len(_SAMPLE_CACHE) >= _SAMPLE_CACHE_LIMIT:
+            _SAMPLE_CACHE.clear()
+        _SAMPLE_CACHE[key] = hit
+    return hit
 
 
 def check_count(count: int) -> None:
@@ -360,18 +379,26 @@ def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0)
     returns the same immutable PlaneBatch.
     """
     check_count(count)
-    if not _kind_admissible(model, kind):
-        raise UnsupportedSignature(
-            f"kind {kind.value} impossible for signature ({model.index},{model.dim - model.index})"
-            + ("" if model.has_cplx else " without J"))
-    key = (_model_key(model), kind, count, seed)
-    hit = _PLANE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    rows = [_sample_one(model, kind, _sample_rng(seed, i)) for i in range(count)]
-    quadruple = kind in (PlaneKind.QUADRUPLE_PPMM, PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM)
-    out = PlaneBatch(rows, _QUADRUPLE_SIGNS if quadruple else None)
-    if len(_PLANE_CACHE) >= _PLANE_CACHE_LIMIT:
-        _PLANE_CACHE.clear()
-    _PLANE_CACHE[key] = out
-    return out
+    options = SIGNATURES[kind].require(model, f"kind {kind.value}")
+
+    def build():
+        rows = [_sample_one(model, kind, options, sample_rng(seed, i)) for i in range(count)]
+        quadruple = kind in (PlaneKind.QUADRUPLE_PPMM, PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM)
+        return PlaneBatch(rows, _QUADRUPLE_SIGNS if quadruple else None)
+
+    return _memoized(model, kind, count, seed, build)
+
+
+def isotropic_vectors(model: ModelPoint, count: int, seed: int = 0) -> np.ndarray:
+    """Read-only (count, m) array of seeded isotropic vectors x + a, each from a
+    (+,-) orthonormal pair; memoized like ``sample_planes``."""
+    check_count(count)
+    (signs,) = PLUS_MINUS_PAIR.require(model, "isotropic vectors")
+
+    def build():
+        vectors = np.stack([np.add(*random_frame(model, signs, sample_rng(seed, i)))
+                            for i in range(count)])
+        vectors.setflags(write=False)
+        return vectors
+
+    return _memoized(model, "isotropic", count, seed, build)

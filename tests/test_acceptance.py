@@ -40,8 +40,7 @@ from isocurv import (
     vanishing_report,
     equivalence_check,
 )
-from isocurv.diagnostics import _isotropic_vectors
-from isocurv.planes import _random_frame, _sample_rng
+from isocurv.planes import isotropic_vectors, random_frame, sample_rng
 from isocurv.tensors import max_norm, trace_g
 
 from conftest import random_symmetric
@@ -174,7 +173,7 @@ def test_06_space_form_curvatures(h44):
     J = h44.cplx
     worst = 0.0
     for i in range(100):
-        (x,) = _random_frame(h44, (1,), _sample_rng(6, i))
+        (x,) = random_frame(h44, (1,), sample_rng(6, i))
         k = sectional_curvature(h44, R, Plane(x, J @ x))
         worst = max(worst, abs(k - mu) / max(1.0, abs(mu)))
     for p in sample_planes(h44, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, 100, seed=6):
@@ -184,7 +183,7 @@ def test_06_space_form_curvatures(h44):
     # holomorphic one
     mu2 = 1.8
     RK = build_space_form(h44, mu2 / 4.0, mu2)
-    (x,) = _random_frame(h44, (1,), _sample_rng(6, 200))
+    (x,) = random_frame(h44, (1,), sample_rng(6, 200))
     k_hol = sectional_curvature(h44, RK, Plane(x, J @ x))
     p = sample_planes(h44, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, 1, seed=7)[0]
     k_anti = sectional_curvature(h44, RK, p)
@@ -232,14 +231,14 @@ def test_09_einstein_criterion(fuzz_h44):
     for lam in (0.5, -2.0):
         R = build_conformally_flat(model, lam * model.metric)
         rho = ricci(model, R)
-        XI = _isotropic_vectors(model, 500, seed=9)
+        XI = isotropic_vectors(model, 500, seed=9)
         vals = np.abs(np.einsum("ki,ij,kj->k", XI, rho, XI)) / max(1.0, max_norm(rho))
         worst = max(worst, float(np.max(vals)))
     # non-Einstein input: exhibit an isotropic witness
     S = np.diag([3.0, 1.0, 1.0, 1.0]) @ model.metric
     R = build_conformally_flat(model, (S + S.T) / 2.0)
     rho = ricci(model, R)
-    XI = _isotropic_vectors(model, 500, seed=9)
+    XI = isotropic_vectors(model, 500, seed=9)
     vals = np.abs(np.einsum("ki,ij,kj->k", XI, rho, XI)) / max(1.0, max_norm(rho))
     k = int(np.argmax(vals))
     xi = XI[k]

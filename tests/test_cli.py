@@ -282,6 +282,66 @@ class TestMalformedDocument:
         assert "error" in capsys.readouterr().err
 
 
+class TestNonNumericDocument:
+    @pytest.mark.parametrize("fields", [
+        {"tensors": {"R": ["0.5"] + [0.0] * 255}},
+        {"tensors": {"R": [False] + [0.0] * 255}},
+        {"tensors": {"R": [None] + [0.0] * 255}},
+        {"metric": [[True, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+        {"J": [[0, "-1", 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]},
+        {"dim": "4"},
+        {"dim": 4.0},
+        {"index": 2.7},
+        {"index": True},
+    ], ids=["string-entry", "false-entry", "null-entry", "true-in-metric", "string-in-J",
+            "string-dim", "float-dim", "fractional-index", "boolean-index"])
+    def test_invalid_document(self, tmp_path, capsys, fields):
+        from isocurv.errors import InvalidDocument
+
+        obj = {"dim": 4, "index": 2, "tensors": {"R": [0.0] * 256}}
+        obj.update(fields)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InvalidDocument):
+            load_document(path)
+        assert run("diagnose", str(path), "--tensor", "R", "--theorem", "flatness") == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_integer_entries_still_load(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"dim": 4, "index": 2,
+                                    "metric": [[-1, 0, 0, 0], [0, -1, 0, 0],
+                                               [0, 0, 1, 0], [0, 0, 0, 1]],
+                                    "tensors": {"R": [0] * 256}}))
+        doc = load_document(path)
+        assert doc.tensor("R").dtype == float and not doc.tensor("R").any()
+
+
+class TestTheoremChoices:
+    def test_choices_come_from_the_theorem_table(self, capsys):
+        from isocurv.diagnostics import THEOREMS
+
+        with pytest.raises(SystemExit):
+            run("diagnose", "--help")
+        choices = ",".join([t.value for t in THEOREMS] + ["flatness"])
+        assert "{" + choices + "}" in capsys.readouterr().out.replace("\n", "").replace(" ", "")
+
+    def test_einstein_report(self, tmp_path):
+        model = ModelPoint(4, 2)
+        doc_path, rep_path = tmp_path / "doc.json", tmp_path / "rep.json"
+        save_document(TensorDocument(model, {"R": random_curvature_like(model, 2)}), doc_path)
+        assert run("diagnose", str(doc_path), "--tensor", "R", "--theorem",
+                   "EinsteinFromIsotropicRicci", "--samples", "20", "--json", str(rep_path)) == 0
+        notes = json.loads(rep_path.read_text())["notes"]
+        assert [n.split(":")[0] for n in notes] == ["sampled max |rho(xi,xi)|",
+                                                    "Einstein residual"]
+
+    def test_fuzz_without_an_applicable_theorem_is_usage_error(self, capsys):
+        assert run("fuzz", "--dim", "4", "--index", "0", "--trials", "1",
+                   "--samples", "5") == 2
+        assert "no theorem applies" in capsys.readouterr().err
+
+
 class TestDocumentIO:
     def test_round_trip_bit_exact(self, tmp_path):
         model = hermitian_model(6, 2)

@@ -24,7 +24,7 @@ from isocurv import (
     validate_curvature_like,
     vanishing_report,
 )
-from isocurv.diagnostics import applicable_theorems
+from isocurv.diagnostics import THEOREMS, applicable_theorems
 from isocurv.errors import InvalidSampleCount, NonFiniteTensor, UnsupportedSignature
 from isocurv.tensors import max_norm
 
@@ -324,3 +324,104 @@ class TestSampleCounts:
                 uniqueness_check(h44, kind, pi1(h44), count)
         with pytest.raises(InvalidSampleCount):
             fuzz(h44, 1, samples=count)
+
+
+SMALL_MODELS = ([ModelPoint(m, s) for m in range(1, 7) for s in range(m + 1)]
+                + [hermitian_model(m, s) for m in (2, 4, 6, 8) for s in range(0, m + 1, 2)])
+
+
+def _model_id(model):
+    return f"{'h' if model.has_cplx else 'm'}{model.dim}{model.index}"
+
+
+class TestSignatureEdges:
+    @pytest.mark.parametrize("model", SMALL_MODELS, ids=_model_id)
+    def test_applicable_exactly_where_the_check_runs(self, model):
+        R = random_curvature_like(model, 0)
+        listed = applicable_theorems(model)
+        for tid in TheoremId:
+            try:
+                equivalence_check(model, R, tid, 3, seed=1)
+            except UnsupportedSignature:
+                assert tid not in listed, tid
+            else:
+                assert tid in listed, tid
+
+    @pytest.mark.parametrize("model", SMALL_MODELS, ids=_model_id)
+    def test_uniqueness_runs_or_is_unsupported(self, model):
+        R = random_curvature_like(model, 0)
+        for kind in UniquenessKind:
+            try:
+                rep = uniqueness_check(model, kind, R, 3, seed=1)
+            except UnsupportedSignature:
+                continue
+            assert rep.samples_used == 3
+
+    @pytest.mark.parametrize("dim,index", [(4, 0), (3, 0), (2, 1)])
+    def test_no_weakly_isotropic_planes_no_theorem_a(self, dim, index):
+        assert TheoremId.THM_A_WEAK_ISO_CONST_K not in applicable_theorems(ModelPoint(dim, index))
+
+    def test_fuzz_without_an_applicable_theorem(self):
+        with pytest.raises(UnsupportedSignature, match="no theorem applies"):
+            fuzz(ModelPoint(4, 0), 1, samples=5)
+
+    def test_fuzz_on_one_one_runs_einstein_alone(self):
+        summary = fuzz(ModelPoint(2, 1), 3, seed=2, samples=5)
+        assert list(summary["checks"]) == [TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI.value]
+        assert summary["checks"]["EinsteinFromIsotropicRicci"]["consistent"] == 3
+
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize("kind", [UniquenessKind.THM_C, UniquenessKind.LEMMA_1])
+    def test_uniqueness_rejects_tiny_hermitian_models_up_front(self, index, kind):
+        model = hermitian_model(2, index)
+        with pytest.raises(UnsupportedSignature, match=f"{kind.value} sampling impossible"):
+            uniqueness_check(model, kind, pi1(model), 5)
+
+    def test_messages_name_the_theorem_and_its_need(self, h24):
+        with pytest.raises(UnsupportedSignature,
+                           match=r"^Thm7_isoHol_Bochner_Kaehler: .*needs \(s, m-s\) >= \(4,4\)$"):
+            equivalence_check(h24, pi1(h24), TheoremId.THM_7_ISO_HOL_BOCHNER, 3)
+        with pytest.raises(UnsupportedSignature, match="strongly-isotropic-antiholomorphic"):
+            equivalence_check(h24, pi1(h24), TheoremId.THM_6_STRONG_ISO_ANTIHOL_BOCHNER, 3)
+
+
+class TestTheoremTable:
+    def test_table_order_and_coverage(self):
+        assert list(THEOREMS) == [
+            TheoremId.THM_A_WEAK_ISO_CONST_K, TheoremId.THM_1_STRONG_ISO_CONF_FLAT,
+            TheoremId.THM_2_QUADRUPLES, TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI,
+            TheoremId.THM_5_WEAK_ISO_ANTIHOL, TheoremId.THM_6_STRONG_ISO_ANTIHOL_BOCHNER,
+            TheoremId.THM_7_ISO_HOL_BOCHNER, TheoremId.LEMMA_2_EQUIV]
+
+    def test_side_names(self, h44):
+        R = pi1(h44)
+        names = {tid: [n.split(":")[0] for n in equivalence_check(h44, R, tid, 5).side_notes]
+                 for tid in THEOREMS}
+        assert names == {
+            TheoremId.THM_A_WEAK_ISO_CONST_K:
+                ["weakly isotropic vanishing", "constant-curvature residual"],
+            TheoremId.THM_1_STRONG_ISO_CONF_FLAT:
+                ["strongly isotropic vanishing", "conformal norm"],
+            TheoremId.THM_2_QUADRUPLES:
+                ["quadruple component vanishing", "sectional curvature relation",
+                 "conformal norm"],
+            TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI:
+                ["sampled max |rho(xi,xi)|", "Einstein residual"],
+            TheoremId.THM_5_WEAK_ISO_ANTIHOL:
+                ["weakly isotropic antiholomorphic vanishing",
+                 "antiholomorphic curvature spread"],
+            TheoremId.THM_6_STRONG_ISO_ANTIHOL_BOCHNER:
+                ["strongly isotropic antiholomorphic vanishing", "Bochner norm"],
+            TheoremId.THM_7_ISO_HOL_BOCHNER: ["isotropic holomorphic vanishing", "Bochner norm"],
+            TheoremId.LEMMA_2_EQUIV:
+                ["isotropic holomorphic vanishing",
+                 "strongly isotropic antiholomorphic vanishing"],
+        }
+
+    def test_einstein_through_the_table_is_einstein_check(self, m22):
+        R = build_conformally_flat(m22, non_einstein_symmetric(m22))
+        via_table = equivalence_check(m22, R, TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI, 20, 3)
+        direct = einstein_check(m22, R, 20, 3)
+        assert via_table.side_notes == direct.side_notes
+        assert via_table.max_residual == direct.max_residual
+        assert via_table.verdict == direct.verdict

@@ -26,6 +26,7 @@ from isocurv.errors import (
     InvalidSampleCount,
     UnsupportedSignature,
 )
+from isocurv.planes import SIGNATURES, isotropic_vectors, random_frame, sample_rng
 
 
 def e(m, i):
@@ -261,3 +262,63 @@ class TestPlaneBatch:
     def test_count_below_one_rejected(self, m22, count):
         with pytest.raises(InvalidSampleCount):
             sample_planes(m22, PlaneKind.WEAKLY_ISOTROPIC, count, seed=0)
+
+
+class TestSignatureTable:
+    def test_without_j_only_for_kinds_that_need_it(self):
+        riemannian = ModelPoint(4, 0)
+        with pytest.raises(UnsupportedSignature, match=r"\(0,4\); needs \(s, m-s\) >= "):
+            sample_planes(riemannian, PlaneKind.WEAKLY_ISOTROPIC, 1)
+        with pytest.raises(UnsupportedSignature, match=" without J$"):
+            sample_planes(ModelPoint(8, 4), PlaneKind.ISOTROPIC_HOLOMORPHIC, 1)
+
+    @pytest.mark.parametrize("kind", list(PlaneKind))
+    def test_rows_agree_with_the_sampler(self, kind):
+        # on every small model, a kind samples exactly where its row fits
+        models = [ModelPoint(m, s) for m in range(1, 7) for s in range(m + 1)]
+        models += [hermitian_model(m, s) for m in (2, 4, 6, 8) for s in range(0, m + 1, 2)]
+        for model in models:
+            fits = bool(SIGNATURES[kind].fitting(model))
+            try:
+                sample_planes(model, kind, 2, seed=1)
+            except UnsupportedSignature:
+                assert not fits
+            else:
+                assert fits
+
+    def test_nondegenerate_antiholomorphic_draws_its_signs(self, h44):
+        # all three sign options fit (4, 4); the sampler draws among them
+        signs = {tuple(np.sign([inner(h44, u, u) for u in frame]))
+                 for frame in sample_planes(h44, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, 60,
+                                            seed=3).vectors}
+        assert signs == {(1, 1), (1, -1), (-1, -1)}
+
+
+class TestSeededSamplers:
+    def test_sample_rng_is_the_per_sample_stream(self):
+        a = sample_rng(5, 3).uniform(size=4)
+        assert np.array_equal(a, np.random.default_rng([5, 3]).uniform(size=4))
+
+    def test_random_frame_signs(self, h44):
+        frame = random_frame(h44, (1, -1, -1), sample_rng(0, 0), antiholomorphic=True)
+        G = np.array([[inner(h44, u, v) for v in frame] for u in frame])
+        assert np.allclose(G, np.diag([1.0, -1.0, -1.0]), atol=1e-12)
+
+    def test_isotropic_vectors(self, m22):
+        XI = isotropic_vectors(m22, 20, seed=4)
+        assert XI.shape == (20, 4)
+        assert max(abs(inner(m22, x, x)) for x in XI) <= 1e-12
+        assert isotropic_vectors(m22, 20, seed=4) is XI
+        assert np.array_equal(isotropic_vectors(m22, 5, seed=4), XI[:5])
+
+    def test_isotropic_vectors_are_read_only(self, m22):
+        XI = isotropic_vectors(m22, 5, seed=1)
+        assert not XI.flags.writeable
+        with pytest.raises(ValueError):
+            XI[0, 0] = 1.0
+
+    def test_isotropic_vectors_need_both_signs(self):
+        with pytest.raises(UnsupportedSignature, match="isotropic vectors"):
+            isotropic_vectors(ModelPoint(3, 0), 1)
+        with pytest.raises(InvalidSampleCount):
+            isotropic_vectors(ModelPoint(3, 1), 0)
