@@ -71,12 +71,12 @@ def _phi_raw(g: np.ndarray, S: np.ndarray) -> np.ndarray:
     return V.transpose(2, 0, 1, 3) - V.transpose(0, 2, 1, 3)
 
 
-def phi(model: ModelPoint, S, check: bool = True, tol=Tolerance()) -> np.ndarray:
+def phi(model: ModelPoint, S, tol=Tolerance()) -> np.ndarray:
     """phi(S)(x,y,z,u) = g(y,z)S(x,u) - g(x,z)S(y,u) + g(x,u)S(y,z) - g(y,u)S(x,z)."""
     S = np.asarray(S, dtype=float)
     if S.shape != (model.dim,) * 2:
         raise DimensionMismatch("S must be a square table of the model dimension")
-    if check and not is_symmetric(S, tol):
+    if not is_symmetric(S, tol):
         raise IsocurvError("phi requires a symmetric bilinear form")
     return _phi_raw(model.metric, S)
 

@@ -44,16 +44,23 @@ def _parse_vec(text: str, dim: int) -> np.ndarray:
 
 
 def _write_json(args, payload) -> None:
-    if getattr(args, "json", None):
+    if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-def _common(sub):
-    sub.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed")
-    sub.add_argument("--json", metavar="PATH", help="also write a JSON report to PATH")
+_SHARED_OPTIONS = {
+    "--tol": dict(type=float, default=1e-9, help="relative tolerance"),
+    "--seed": dict(type=int, default=0, help="sampling seed"),
+    "--json": dict(metavar="PATH", help="also write a JSON report to PATH"),
+}
+
+
+def _common(sub, *names):
+    """Add the shared options `names` to the subcommand parser `sub`."""
+    for name in names:
+        sub.add_argument(name, **_SHARED_OPTIONS[name])
 
 
 def cmd_gen(args) -> int:
@@ -175,6 +182,7 @@ def cmd_fuzz(args) -> int:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
+    _write_json(args, summary)
     return 0 if not summary["inconsistencies"] else 1
 
 
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--nu", type=float, help="antiholomorphic curvature (space-form)")
     gen.add_argument("--name", default="R", help="tensor name in the document")
     gen.add_argument("--out", required=True)
-    _common(gen)
+    _common(gen, "--seed")
     gen.set_defaults(func=cmd_gen)
 
     cls = subs.add_parser("classify", help="classify a 2-plane from a document's model")
@@ -204,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--u", required=True, help="first basis vector, comma separated")
     cls.add_argument("--v", required=True, help="second basis vector, comma separated")
     cls.add_argument("--tensor", help="also print sectional curvature of this tensor")
-    _common(cls)
+    _common(cls, "--tol", "--json")
     cls.set_defaults(func=cmd_classify)
 
     diag = subs.add_parser("diagnose", help="run a theorem equivalence check")
@@ -213,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--theorem", required=True,
                       choices=[t.value for t in THEOREMS] + ["flatness"])
     diag.add_argument("--samples", type=int, default=200)
-    _common(diag)
+    _common(diag, "--tol", "--seed", "--json")
     diag.set_defaults(func=cmd_diagnose)
 
     idn = subs.add_parser("identities", help="holomorphic-curvature identity residuals")
@@ -222,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     idn.add_argument("--samples", type=int, default=100)
     idn.add_argument("--include-k-mixed", action="store_true",
                      help="also report the optional mixed-K identity residual")
-    _common(idn)
+    _common(idn, "--tol", "--seed", "--json")
     idn.set_defaults(func=cmd_identities)
 
     fz = subs.add_parser("fuzz", help="random curvature-like tensors through all checks")
@@ -232,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--trials", type=int, default=100)
     fz.add_argument("--samples", type=int, default=100)
     fz.add_argument("--out", help="summary file (stdout when omitted)")
-    _common(fz)
+    _common(fz, "--tol", "--seed", "--json")
     fz.set_defaults(func=cmd_fuzz)
     return parser
 

@@ -103,8 +103,8 @@ class FlatnessNorms:
     conf_norm: float          # None when dim <= 3
     boch_norm: float          # None without J or dim < 6
     const_curv_residual: float
-    antihol_residual: float   # None without J
-    nu_hat: float
+    antihol_residual: float   # None without J, or at m = 2
+    nu_hat: float             # None at m = 2 with J
     mu_hat: float             # None without J
 
 
@@ -154,19 +154,25 @@ def flatness_norms(model: ModelPoint, R) -> FlatnessNorms:
     and the constant-antiholomorphic-form residual at the fitted nu.
 
     pi1 and pi2 are built once, for the two fits; each derived tensor is
-    built once."""
+    built once.  At m = 2 with J the only 2-plane is holomorphic (pi2 =
+    3 pi1), so mu is the constant-curvature fit and nu is undefined."""
     R = check_quad(model, R)
     scale = residual_scale(R)
     exact = _ExactNorms(model, R, scale)
     p1 = pi1(model)
     kappa, const_res = _const_curv_fit(p1, R, scale)
-    nu_hat, mu_hat = _fit_pi(p1, pi2(model), R) if model.has_cplx else (kappa, None)
+    if not model.has_cplx:
+        nu_hat, mu_hat = kappa, None
+    elif model.dim == 2:
+        nu_hat, mu_hat = None, kappa
+    else:
+        nu_hat, mu_hat = _fit_pi(p1, pi2(model), R)
     conf = exact.conformal if model.dim > 3 else None
     boch = None
     antihol = None
-    if model.has_cplx:
-        if model.dim >= 6 and model.dim % 2 == 0:
-            boch = exact.bochner
+    if model.has_cplx and model.dim >= 6 and model.dim % 2 == 0:
+        boch = exact.bochner
+    if model.has_cplx and nu_hat is not None:
         antihol = antiholomorphic_form_residual(model, R, nu_hat) / scale
     return FlatnessNorms(conf, boch, const_res, antihol, nu_hat, mu_hat)
 
@@ -225,8 +231,8 @@ def _antiholomorphic_spread_sides(model, R, count, seed, tol, scale):
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    """One equivalence.  It holds where every sampled kind exists and (s, m-s)
-    is at least ``least``.  Each kind gives one vanishing side unless
+    """One equivalence.  It holds where every sampled kind exists and the
+    ``needs`` row, if any, fits.  Each kind gives one vanishing side unless
     ``sides`` replaces them; ``exact`` names the ``_ExactNorms`` attribute
     of the exact side; ``report`` replaces the whole check."""
 
@@ -234,13 +240,13 @@ class TheoremSpec:
     exact: str = None
     sides: Callable = None   # (model, R, count, seed, tol, scale) -> (sides, witness)
     report: Callable = None  # (model, R, count, seed, tol) -> DiagReport
-    least: tuple = (0, 0)
+    needs: Signature = None
 
     @cached_property
     def signatures(self) -> list:
         """(what, Signature) rows that must all fit the model."""
         rows = [(f"kind {kind.value}", SIGNATURES[kind]) for kind in self.kinds]
-        return rows + [("the equivalence", Signature(False, {self.least: ()}))]
+        return rows + ([("the equivalence", self.needs)] if self.needs else [])
 
 
 THEOREMS = {
@@ -252,7 +258,7 @@ THEOREMS = {
         TheoremSpec((PlaneKind.QUADRUPLE_PPMM,), exact="conformal", sides=_quadruple_sides),
     TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI:
         # einstein_check is looked up when called, so a wrapped one is honored
-        TheoremSpec(report=lambda *args: einstein_check(*args), least=(1, 1)),
+        TheoremSpec(report=lambda *args: einstein_check(*args), needs=PLUS_MINUS_PAIR),
     TheoremId.THM_5_WEAK_ISO_ANTIHOL:
         TheoremSpec((PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC,
                      PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC),
@@ -260,7 +266,9 @@ THEOREMS = {
     TheoremId.THM_6_STRONG_ISO_ANTIHOL_BOCHNER:
         TheoremSpec((PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC,), exact="bochner"),
     TheoremId.THM_7_ISO_HOL_BOCHNER:
-        TheoremSpec((PlaneKind.ISOTROPIC_HOLOMORPHIC,), exact="bochner", least=(4, 4)),
+        # holds from (4,4) on, where an antiholomorphic (+,+,-,-) frame exists
+        TheoremSpec((PlaneKind.ISOTROPIC_HOLOMORPHIC,), exact="bochner",
+                    needs=Signature(True, ((1, 1, -1, -1),))),
     TheoremId.LEMMA_2_EQUIV:
         TheoremSpec((PlaneKind.ISOTROPIC_HOLOMORPHIC,
                      PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC)),
@@ -318,7 +326,7 @@ def einstein_check(model: ModelPoint, R, count: int = 200, seed: int = 0,
 _UNIQUENESS_SIGNATURES = {
     UniquenessKind.THM_B: PLUS_MINUS_PAIR,
     UniquenessKind.THM_C: SIGNATURES[PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC],
-    UniquenessKind.LEMMA_1: Signature(True, {(2, 2): (1, -1)}),
+    UniquenessKind.LEMMA_1: Signature(True, ((1, -1),)),
 }
 
 

@@ -15,9 +15,11 @@ construction, not by rejection near the light cone.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .errors import (
     DegenerateSubspace,
     DependentInput,
     InvalidSampleCount,
+    NonFiniteTensor,
     UnsupportedSignature,
 )
 from .model import ModelPoint, Tolerance, as_tolerance, inner
@@ -60,7 +63,7 @@ class Holomorphy(Enum):
 
 @dataclass(frozen=True)
 class Plane:
-    """A 2-plane given by an (unnormalized) basis pair."""
+    """A 2-plane given by an (unnormalized) basis pair of finite vectors."""
 
     x: np.ndarray
     y: np.ndarray
@@ -68,6 +71,8 @@ class Plane:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        if not all(map(math.isfinite, self.x.tolist() + self.y.tolist())):
+            raise NonFiniteTensor("a plane basis vector has a NaN or infinite component")
 
     def gram(self, model: ModelPoint) -> np.ndarray:
         gxx = inner(model, self.x, self.x)
@@ -237,27 +242,34 @@ def sectional_curvature(model: ModelPoint, R, p: Plane, tol=Tolerance()) -> floa
 @dataclass(frozen=True)
 class Signature:
     """Where a sampled construction exists: whether it needs J, and its frame
-    sign options keyed by the least (s, m-s) realizing each, in order of
-    preference.  The sampler takes the first option that fits, or with
-    ``pick_at_random`` draws one from the sample's generator."""
+    sign options in order of preference.  The sampler takes the first option
+    that fits (see ``least``), or with ``pick_at_random`` draws one from the
+    sample's generator."""
 
     needs_j: bool
-    options: dict  # (least_s, least_pos) -> frame signs
+    options: tuple  # frame sign tuples
     pick_at_random: bool = False
+
+    @cached_property
+    def least(self) -> tuple:
+        """The least (s, m-s) of each option: its counts of -1 and +1 signs,
+        doubled for a frame that needs J (each vector brings its J-image)."""
+        k = 2 if self.needs_j else 1
+        return tuple((k * signs.count(-1), k * signs.count(1)) for signs in self.options)
 
     def fitting(self, model: ModelPoint) -> list:
         """The sign options realizable on `model`, in table order."""
         if self.needs_j and not model.has_cplx:
             return []
         s, pos = model.index, model.dim - model.index
-        return [signs for (a, b), signs in self.options.items() if s >= a and pos >= b]
+        return [signs for signs, (a, b) in zip(self.options, self.least) if s >= a and pos >= b]
 
     def require(self, model: ModelPoint, what: str) -> list:
         """`fitting(model)`, or UnsupportedSignature naming `what` when empty."""
         options = self.fitting(model)
         if not options:
             need = (" without J" if self.needs_j and not model.has_cplx else
-                    "; needs (s, m-s) >= " + " or ".join(f"({a},{b})" for a, b in self.options))
+                    "; needs (s, m-s) >= " + " or ".join(f"({a},{b})" for a, b in self.least))
             raise UnsupportedSignature(
                 f"{what} impossible for signature ({model.index},{model.dim - model.index}){need}")
         return options
@@ -266,22 +278,21 @@ class Signature:
         return options[rng.integers(len(options))] if self.pick_at_random else options[0]
 
 
-# One row per plane kind; _sample_one combines the frame into the plane:
-# x + a is isotropic for a (+,-) pair (x, a).
+# One row per plane kind.  _sample_one draws the frame (antiholomorphic when
+# the kind needs J) and combines it: x + a is isotropic for a (+,-) pair (x, a).
 SIGNATURES = {
-    PlaneKind.WEAKLY_ISOTROPIC: Signature(False, {(1, 2): (1, 1, -1), (2, 1): (-1, -1, 1)}),
-    PlaneKind.STRONGLY_ISOTROPIC: Signature(False, {(2, 2): (1, 1, -1, -1)}),
-    PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC:
-        Signature(True, {(2, 4): (1, 1, -1), (4, 2): (-1, -1, 1)}),
-    PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC: Signature(True, {(4, 4): (1, 1, -1, -1)}),
-    PlaneKind.ISOTROPIC_HOLOMORPHIC: Signature(True, {(1, 2): (1,), (2, 1): (-1,)}),
+    PlaneKind.WEAKLY_ISOTROPIC: Signature(False, ((1, 1, -1), (-1, -1, 1))),
+    PlaneKind.STRONGLY_ISOTROPIC: Signature(False, ((1, 1, -1, -1),)),
+    PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC: Signature(True, ((1, 1, -1), (-1, -1, 1))),
+    PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC: Signature(True, ((1, 1, -1, -1),)),
+    PlaneKind.ISOTROPIC_HOLOMORPHIC: Signature(True, ((1, -1),)),
     PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC:
-        Signature(True, {(0, 4): (1, 1), (2, 2): (1, -1), (4, 0): (-1, -1)}, pick_at_random=True),
-    PlaneKind.QUADRUPLE_PPMM: Signature(False, {(2, 2): _QUADRUPLE_SIGNS}),
-    PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM: Signature(True, {(4, 4): _QUADRUPLE_SIGNS}),
+        Signature(True, ((1, 1), (1, -1), (-1, -1)), pick_at_random=True),
+    PlaneKind.QUADRUPLE_PPMM: Signature(False, (_QUADRUPLE_SIGNS,)),
+    PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM: Signature(True, (_QUADRUPLE_SIGNS,)),
 }
 # a (+,-) orthonormal pair (x, a); x + a is isotropic
-PLUS_MINUS_PAIR = Signature(False, {(1, 1): (1, -1)})
+PLUS_MINUS_PAIR = Signature(False, ((1, -1),))
 
 
 def sample_rng(seed: int, i: int) -> np.random.Generator:
@@ -289,54 +300,42 @@ def sample_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng([seed & _SEED_MASK, i])
 
 
-def random_frame(model, signs, rng, antiholomorphic=False, orthogonal_to=()) -> list:
+def random_frame(model, signs, rng, antiholomorphic=False) -> list:
     """Orthonormal frame with prescribed sign labels by projection + rejection.
 
-    With ``antiholomorphic=True`` each new vector is also projected off the
-    J-images of the previous ones (and of the `orthogonal_to` seeds), so all
-    pairs of the result span antiholomorphic planes.
+    Each candidate is projected off every accepted vector and, with
+    ``antiholomorphic=True``, off its J-image too, so all pairs of the
+    result span antiholomorphic planes.
     """
-    m = model.dim
-    J = model.cplx if (antiholomorphic or orthogonal_to) else None
-    pinned = []
-    for u in orthogonal_to:
-        pinned.append((u, inner(model, u, u)))
-        if J is not None:
-            ju = J @ u
-            pinned.append((ju, inner(model, ju, ju)))
-    chosen = []
+    frame, basis = [], []  # basis: (vector, sign) pairs candidates are projected off
     for want in signs:
         for _ in range(1000):
-            v = rng.uniform(-1.0, 1.0, m)
+            v = rng.uniform(-1.0, 1.0, model.dim)
             for _pass in range(2):  # second pass tightens orthogonality to ~ulp
-                for u, q in pinned:
-                    v = v - (inner(model, v, u) / q) * u
-                for u, sgn in chosen:
+                for u, sgn in basis:
                     v = v - sgn * inner(model, v, u) * u
-                    if antiholomorphic:
-                        ju = J @ u
-                        v = v - sgn * inner(model, v, ju) * ju
             q = inner(model, v, v)
             if abs(q) > 0.2 and (q > 0) == (want > 0):
-                chosen.append((v / np.sqrt(abs(q)), want))
+                u = v / np.sqrt(abs(q))
+                frame.append(u)
+                basis.append((u, want))
+                if antiholomorphic:
+                    basis.append((model.cplx @ u, want))
                 break
         else:
             raise UnsupportedSignature(
                 f"could not realize a frame of signature {signs} in ({model.index},{model.dim - model.index})")
-    return [u for u, _ in chosen]
+    return frame
 
 
 def _sample_one(model: ModelPoint, kind: PlaneKind, options: list, rng):
     """Basis rows of one sample: (x, y) of a plane, or a quadruple's frame,
     from a frame with one of the kind's fitting sign `options`."""
-    signs = SIGNATURES[kind].pick(options, rng)
+    row = SIGNATURES[kind]
+    frame = random_frame(model, row.pick(options, rng), rng, antiholomorphic=row.needs_j)
     if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
-        (x,) = random_frame(model, signs, rng)
-        (a,) = random_frame(model, (-signs[0],), rng, orthogonal_to=(x,))
-        xi = x + a
+        xi = np.add(*frame)  # x + a for the (+,-) frame (x, a)
         return xi, model.cplx @ xi
-    # every other kind that needs J is antiholomorphic
-    frame = random_frame(model, signs, rng, antiholomorphic=SIGNATURES[kind].needs_j)
     if kind is PlaneKind.WEAKLY_ISOTROPIC:
         x, y, a = frame
         return x + a, y
@@ -379,9 +378,9 @@ def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0)
     returns the same immutable PlaneBatch.
     """
     check_count(count)
-    options = SIGNATURES[kind].require(model, f"kind {kind.value}")
 
     def build():
+        options = SIGNATURES[kind].require(model, f"kind {kind.value}")
         rows = [_sample_one(model, kind, options, sample_rng(seed, i)) for i in range(count)]
         quadruple = kind in (PlaneKind.QUADRUPLE_PPMM, PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM)
         return PlaneBatch(rows, _QUADRUPLE_SIGNS if quadruple else None)
@@ -393,9 +392,9 @@ def isotropic_vectors(model: ModelPoint, count: int, seed: int = 0) -> np.ndarra
     """Read-only (count, m) array of seeded isotropic vectors x + a, each from a
     (+,-) orthonormal pair; memoized like ``sample_planes``."""
     check_count(count)
-    (signs,) = PLUS_MINUS_PAIR.require(model, "isotropic vectors")
 
     def build():
+        (signs,) = PLUS_MINUS_PAIR.require(model, "isotropic vectors")
         vectors = np.stack([np.add(*random_frame(model, signs, sample_rng(seed, i)))
                             for i in range(count)])
         vectors.setflags(write=False)

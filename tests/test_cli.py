@@ -52,6 +52,18 @@ class TestGen:
         assert run("gen", "const-curv", "--dim", "4", "--index", "2",
                    "--c", "1.0", "--out", "/no/such/dir/x.json") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "const-curv", "--dim", "4", "--index", "2", "--c", "1", "--out", "o.json",
+         "--json", "x.json"),
+        ("gen", "const-curv", "--dim", "4", "--index", "2", "--c", "1", "--out", "o.json",
+         "--tol", "1e-6"),
+        ("classify", "cc.json", "--u", "1,0,0,0", "--v", "0,1,0,0", "--seed", "3"),
+    ], ids=["gen-json", "gen-tol", "classify-seed"])
+    def test_options_the_command_does_not_read_are_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*(str(tmp_path / a) if a.endswith(".json") else a for a in argv))
+        assert exc.value.code == 2
+
     def test_conf_flat_seeded(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run("gen", "conf-flat", "--dim", "4", "--index", "2", "--seed", "3",
@@ -104,6 +116,16 @@ class TestClassify:
         assert payload["plane"] == "nondegenerate"
         assert payload["sectional_curvature"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("u", ["nan,0,0,0", "0,inf,0,0", "0,0,0,-inf"])
+    def test_non_finite_component_is_usage_error(self, tmp_path, capsys, u):
+        doc_path = tmp_path / "cc.json"
+        run("gen", "const-curv", "--dim", "4", "--index", "2", "--c", "2.0",
+            "--out", str(doc_path))
+        capsys.readouterr()
+        assert run("classify", str(doc_path), "--u", u, "--v", "0,1,0,0",
+                   "--tensor", "R") == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
     def test_bad_vector_length(self, tmp_path, capsys):
         doc_path = tmp_path / "cc.json"
         run("gen", "const-curv", "--dim", "4", "--index", "2", "--c", "2.0",
@@ -150,6 +172,16 @@ class TestDiagnose:
         payload = json.loads(rep_path.read_text())
         assert payload["const_curv_residual"] <= 1e-12
         assert payload["nu_hat"] == pytest.approx(1.0)
+
+    def test_flatness_mode_at_m2(self, tmp_path):
+        doc_path, rep_path = tmp_path / "h2.json", tmp_path / "flat.json"
+        assert run("gen", "space-form", "--n", "1", "--s", "0", "--mu", "1", "--nu", "0.25",
+                   "--out", str(doc_path)) == 0
+        assert run("diagnose", str(doc_path), "--tensor", "R", "--theorem", "flatness",
+                   "--json", str(rep_path)) == 0
+        payload = json.loads(rep_path.read_text())
+        assert payload["mu_hat"] == pytest.approx(1.0, rel=1e-12)
+        assert payload["nu_hat"] is None and payload["antihol_residual"] is None
 
     def test_unsupported_signature_is_usage_error(self, tmp_path):
         doc_path = tmp_path / "lz.json"
@@ -221,6 +253,12 @@ class TestFuzz:
         assert run("fuzz", "--dim", "4", "--index", "2", "--trials", "5",
                    "--samples", "50", "--seed", "11", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_json_matches_out(self, tmp_path):
+        out, rep = tmp_path / "out.json", tmp_path / "rep.json"
+        assert run("fuzz", "--dim", "4", "--index", "2", "--trials", "2", "--samples", "20",
+                   "--out", str(out), "--json", str(rep)) == 0
+        assert rep.read_bytes() == out.read_bytes()
 
     def test_stdout_summary(self, capsys):
         assert run("fuzz", "--dim", "4", "--index", "2", "--trials", "2",

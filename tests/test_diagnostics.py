@@ -80,6 +80,15 @@ class TestFlatnessNorms:
         assert norms.antihol_residual <= 1e-12
         assert norms.const_curv_residual > 1e-3  # mu != nu
 
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_hermitian_m2(self, index):
+        # pi2 = 3 pi1 at m = 2: the only plane is holomorphic, nu is undefined
+        model = hermitian_model(2, index)
+        norms = flatness_norms(model, build_space_form(model, 0.25, 1.0))
+        assert norms.mu_hat == pytest.approx(1.0, rel=1e-12)
+        assert norms.nu_hat is None and norms.antihol_residual is None
+        assert norms.const_curv_residual <= 1e-12
+
     def test_random_tensor_far_from_flat(self, m22):
         norms = flatness_norms(m22, random_curvature_like(m22, 1))
         assert norms.conf_norm > 1e-3
@@ -272,6 +281,26 @@ class TestFuzz:
         a = fuzz(m23, trials=5, seed=7, samples=50)
         b = fuzz(m23, trials=5, seed=7, samples=50)
         assert a == b
+
+    def test_inconsistency_record(self):
+        # a tol between the two sides of ThmA on trial 0 makes it one-sided
+        model, seed, samples, tol = ModelPoint(4, 2), 3, 20, 1.0
+        R = random_curvature_like(model, seed, 0)
+        vanishing = vanishing_report(model, R, PlaneKind.WEAKLY_ISOTROPIC, samples, seed).max_residual
+        const = flatness_norms(model, R).const_curv_residual
+        assert const < tol < vanishing
+        summary = fuzz(model, 1, seed=seed, samples=samples, tol=tol)
+        (rec,) = [r for r in summary["inconsistencies"] if r["theorem"] == "ThmA_weakIso_constK"]
+        assert rec == {
+            "trial": 0, "theorem": "ThmA_weakIso_constK", "seed": seed,
+            "max_residual": vanishing,
+            "notes": [f"weakly isotropic vanishing: residual {vanishing:.3e} -> fail",
+                      f"constant-curvature residual: residual {const:.3e} -> pass"]}
+        assert summary["checks"]["ThmA_weakIso_constK"] == {"consistent": 0, "inconsistent": 1}
+        rep = equivalence_check(model, random_curvature_like(model, rec["seed"], rec["trial"]),
+                                TheoremId(rec["theorem"]), samples, rec["seed"], tol)
+        assert not rep.verdict
+        assert (rep.max_residual, rep.side_notes) == (rec["max_residual"], rec["notes"])
 
     def test_seed_changes_tensors(self, m22):
         assert max_norm(random_curvature_like(m22, 0, 0)

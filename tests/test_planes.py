@@ -24,6 +24,7 @@ from isocurv.errors import (
     DegenerateSubspace,
     DependentInput,
     InvalidSampleCount,
+    NonFiniteTensor,
     UnsupportedSignature,
 )
 from isocurv.planes import SIGNATURES, isotropic_vectors, random_frame, sample_rng
@@ -63,6 +64,19 @@ class TestGramSchmidt:
         assert sum(1 for s in frame.signs if s < 0) == 2
         g = np.array([[inner(m23, u, v) for v in frame.vectors] for u in frame.vectors])
         assert np.allclose(g, np.diag(frame.signs), atol=1e-10)
+
+    @pytest.mark.parametrize("m", [8, 12, 16, 20])
+    def test_extend_gives_the_model_signature(self, m):
+        # the completion takes any sign with |g(v,v)| > 0.05; drawing the
+        # missing signs with random_frame's prescribed-sign |q| > 0.2
+        # rejection fails on many of these models
+        for s in range(m + 1):
+            model = ModelPoint(m, s)
+            for seed in range(3):
+                frame = gram_schmidt_indefinite(model, [e(m, 0)], seed=seed, extend=True)
+                assert len(frame) == m and frame.signs.count(-1) == s
+                G = frame.vectors @ model.metric @ frame.vectors.T
+                assert np.allclose(G, np.diag(frame.signs), atol=1e-10)
 
     def test_extend_deterministic(self, m22):
         a = gram_schmidt_indefinite(m22, [e(4, 1)], extend=True, seed=3)
@@ -114,6 +128,22 @@ class TestClassifyHolomorphy:
         p = Plane(xi, h44.cplx @ xi)
         assert classify_holomorphy(h44, p) == Holomorphy.HOLOMORPHIC
         assert classify_plane(h44, p) == PlaneClass.STRONGLY_ISOTROPIC
+
+
+class TestNonFinitePlanes:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("check", [
+        classify_plane,
+        classify_holomorphy,
+        lambda model, p: sectional_curvature(model, pi1(model), p),
+    ], ids=["classify_plane", "classify_holomorphy", "sectional_curvature"])
+    def test_rejected(self, h44, check, value):
+        x = e(8, 0)
+        x[3] = value
+        with pytest.raises(NonFiniteTensor):
+            check(h44, Plane(x, e(8, 1)))
+        with pytest.raises(NonFiniteTensor):
+            check(h44, Plane(e(8, 1), x))
 
 
 class TestSectionalCurvature:
@@ -298,6 +328,21 @@ class TestSeededSamplers:
     def test_sample_rng_is_the_per_sample_stream(self):
         a = sample_rng(5, 3).uniform(size=4)
         assert np.array_equal(a, np.random.default_rng([5, 3]).uniform(size=4))
+
+    def test_isotropic_holomorphic_is_one_antiholomorphic_frame(self, h44):
+        # the plane (x + a, J(x + a)) of the antiholomorphic (+,-) frame (x, a)
+        # drawn from the sample's generator
+        batch = sample_planes(h44, PlaneKind.ISOTROPIC_HOLOMORPHIC, 5, seed=6)
+        for i, p in enumerate(batch):
+            x, a = random_frame(h44, (1, -1), sample_rng(6, i), antiholomorphic=True)
+            assert np.array_equal(p.x, x + a) and np.array_equal(p.y, h44.cplx @ (x + a))
+
+    def test_least_signature_comes_from_the_signs(self):
+        assert SIGNATURES[PlaneKind.WEAKLY_ISOTROPIC].least == ((1, 2), (2, 1))
+        assert SIGNATURES[PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC].least == ((2, 4), (4, 2))
+        assert SIGNATURES[PlaneKind.ISOTROPIC_HOLOMORPHIC].least == ((2, 2),)
+        assert SIGNATURES[PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC].least == (
+            (0, 4), (2, 2), (4, 0))
 
     def test_random_frame_signs(self, h44):
         frame = random_frame(h44, (1, -1, -1), sample_rng(0, 0), antiholomorphic=True)
