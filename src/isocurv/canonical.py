@@ -254,11 +254,10 @@ class Theorem6Report:
     mixed_pair_residual: float     # identity (19), (+,-) orthonormal pairs
     samples_used: int
     verdict: bool
-    optional_k_mixed_residual: float = None  # identity (15), behind a flag
 
 
 def theorem6_identities(model: ModelPoint, R, samples: int = 100, seed: int = 0,
-                        tol=Tolerance(), include_k_mixed: bool = False) -> Theorem6Report:
+                        tol=Tolerance()) -> Theorem6Report:
     """Residuals of the holomorphic-curvature identities satisfied by
     Bochner-flat tensors.  Residuals are relative-scaled by max(1, |R|_max)."""
     tol = as_tolerance(tol)
@@ -286,12 +285,10 @@ def theorem6_identities(model: ModelPoint, R, samples: int = 100, seed: int = 0,
     JE, JX, JY, JB = (A @ J.T for A in (E, X, Y, B))
 
     # every 4-vector evaluation in one kernel call, split by block below:
-    # K(e_i) over the basis, K(x), R(y,Jy,Jy,b) and, for (15), R(y,b,b,y)
+    # K(e_i) over the basis, K(x) and R(y,Jy,Jy,b)
     blocks = [(E, JE, JE, E), (X, JX, JX, X), (Y, JY, JY, B)]
-    if include_k_mixed:
-        blocks.append((Y, B, B, Y))
     vals = quad_eval_batch(R, *(np.concatenate(col) for col in zip(*blocks)))
-    kbasis, kx, lhs19, ryb = np.split(vals, np.cumsum([m, samples, samples]))
+    kbasis, kx, lhs19 = np.split(vals, np.cumsum([m, samples]))
 
     def form(P, S, Q):
         return np.einsum("ki,ij,kj->k", P, S, Q)
@@ -308,18 +305,5 @@ def theorem6_identities(model: ModelPoint, R, samples: int = 100, seed: int = 0,
              + 3.0 * (2.0 * n + 3) / (4.0 * (n + 1) * (n + 2)) * form(Y, rs, B))
     res19 = float(np.max(np.abs(lhs19 - rhs19))) / scale
 
-    res15 = None
-    if include_k_mixed:
-        # identity (15) as printed; possibly carries a typesetting slip,
-        # reported but never part of the verdict
-        kxb = -ryb  # denominator g(y,y)g(b,b) = -1
-        yy, bb = form(Y, rho, Y), form(B, rho, B)
-        rhs15 = ((2.0 * n * n - 5) / (4.0 * (n - 1) * (n * n - 4)) * (yy - bb)
-                 + 3.0 / (4.0 * (n - 1) * (n * n - 4)) * (form(JY, rho, JY) - form(JB, rho, JB))
-                 - 3.0 / (2.0 * (n * n - 4)) * (yy - bb)
-                 - (2.0 * n * n + 3 * n + 4) / (8.0 * (n * n - 1) * (n * n - 4)) * tau
-                 + 9.0 * n / (8.0 * (n * n - 1) * (n * n - 4)) * ts)
-        res15 = float(np.max(np.abs(kxb - rhs15))) / scale
-
     verdict = bool(max(res12, res13, res19) <= tol.rel)
-    return Theorem6Report(res12, res13, res19, samples, verdict, res15)
+    return Theorem6Report(res12, res13, res19, samples, verdict)

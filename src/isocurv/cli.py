@@ -160,13 +160,10 @@ def cmd_diagnose(args) -> int:
 def cmd_identities(args) -> int:
     doc = load_document(args.path)
     rep = theorem6_identities(doc.model, doc.tensor(args.tensor), args.samples,
-                              args.seed, Tolerance(args.tol),
-                              include_k_mixed=args.include_k_mixed)
+                              args.seed, Tolerance(args.tol))
     print(f"basis holomorphic-curvature sum residual: {rep.basis_sum_residual:.6e}")
     print(f"holomorphic K identity residual:          {rep.holomorphic_k_residual:.6e}")
     print(f"mixed-pair identity residual:             {rep.mixed_pair_residual:.6e}")
-    if rep.optional_k_mixed_residual is not None:
-        print(f"optional mixed-K identity residual:       {rep.optional_k_mixed_residual:.6e}")
     print(f"verdict: {'pass' if rep.verdict else 'fail'}")
     _write_json(args, dataclasses.asdict(rep))
     return 0 if rep.verdict else 1
@@ -175,13 +172,7 @@ def cmd_identities(args) -> int:
 def cmd_fuzz(args) -> int:
     model = hermitian_model(args.dim, args.index) if args.complex else ModelPoint(args.dim, args.index)
     summary = fuzz(model, args.trials, args.seed, args.samples, Tolerance(args.tol))
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_json(args, summary)
     return 0 if not summary["inconsistencies"] else 1
 
@@ -228,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     idn.add_argument("path")
     idn.add_argument("--tensor", required=True)
     idn.add_argument("--samples", type=int, default=100)
-    idn.add_argument("--include-k-mixed", action="store_true",
-                     help="also report the optional mixed-K identity residual")
     _common(idn, "--tol", "--seed", "--json")
     idn.set_defaults(func=cmd_identities)
 
@@ -239,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--complex", action="store_true", help="attach the standard J")
     fz.add_argument("--trials", type=int, default=100)
     fz.add_argument("--samples", type=int, default=100)
-    fz.add_argument("--out", help="summary file (stdout when omitted)")
     _common(fz, "--tol", "--seed", "--json")
     fz.set_defaults(func=cmd_fuzz)
     return parser

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -26,9 +26,8 @@ from .canonical import (
     bochner,
     conformal,
     pi1,
-    pi2,
 )
-from .errors import UnsupportedSignature
+from .errors import DimensionMismatch, UnsupportedSignature
 from .model import ModelPoint, Tolerance, as_tolerance
 from .planes import (
     PLUS_MINUS_PAIR,
@@ -49,6 +48,7 @@ from .tensors import (
     quad_eval_batch,
     residual_scale,
     ricci,
+    ricci_star,
     trace_g,
 )
 
@@ -79,18 +79,24 @@ class DiagReport:
     side_notes: list = field(default_factory=list)
 
 
+def _worst_plane(model: ModelPoint, R, kind: PlaneKind, count: int, seed: int,
+                     scale: float):
+    """Max of |R(u,v,v,u)| / scale over sampled planes of the given kind, and
+    a function that builds the plane where it is reached."""
+    planes = sample_planes(model, kind, count, seed)
+    res = np.abs(quad_eval_batch(R, planes.U, planes.V, planes.V, planes.U)) / scale
+    k = int(np.argmax(res))
+    return float(res[k]), lambda: planes[k]
+
+
 def vanishing_report(model: ModelPoint, R, kind: PlaneKind, count: int = 200,
                      seed: int = 0, tol=Tolerance()) -> DiagReport:
     """Max of |R(u,v,v,u)| over sampled planes of the given kind, scaled."""
     tol = as_tolerance(tol)
     R = check_quad(model, R)
-    scale = residual_scale(R)
-    planes = sample_planes(model, kind, count, seed)
-    res = np.abs(quad_eval_batch(R, planes.U, planes.V, planes.V, planes.U)) / scale
-    k = int(np.argmax(res))
-    worst = float(res[k])
+    worst, witness = _worst_plane(model, R, kind, count, seed, residual_scale(R))
     verdict = worst <= tol.rel
-    return DiagReport(worst, None if verdict else planes[k], count, verdict)
+    return DiagReport(worst, None if verdict else witness(), count, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -108,27 +114,12 @@ class FlatnessNorms:
     mu_hat: float             # None without J
 
 
-def _const_curv_fit(p1: np.ndarray, R, scale: float):
-    """Least-squares coefficient kappa of R against p1 = pi1, and the scaled
-    max-norm residual |R - kappa pi1| / scale."""
-    kappa = float(np.vdot(p1, R) / np.vdot(p1, p1))
-    return kappa, max_norm(R - kappa * p1) / scale
-
-
-def _fit_pi(p1: np.ndarray, p2: np.ndarray, R):
-    """Space-form fit R ~ a pi1 + b pi2 as (nu, mu) = (a, a + 3b)."""
-    gram = np.array([[np.vdot(p1, p1), np.vdot(p1, p2)],
-                     [np.vdot(p2, p1), np.vdot(p2, p2)]])
-    rhs = np.array([np.vdot(p1, R), np.vdot(p2, R)])
-    a, b = np.linalg.solve(gram, rhs)
-    return float(a), float(a) + 3.0 * float(b)
-
-
 class _ExactNorms:
-    """Scaled max-norms of the derived tensors of one R, each computed on
-    first use.  ``equivalence_check`` makes a fresh one per call; ``fuzz``
-    shares one across the theorems of a trial, so Theorems 1 and 2 use one
-    conformal tensor and Theorems 6 and 7 one Bochner tensor."""
+    """The exact-criterion numbers of one R, each computed on first use:
+    scaled max-norms of the derived tensors and the space-form fits.
+    ``equivalence_check`` makes a fresh one per call; ``fuzz`` shares one
+    across the theorems of a trial, so Theorems 1 and 2 use one conformal
+    tensor and Theorems 6 and 7 one Bochner tensor."""
 
     SIDE_NAMES = {"const_curv": "constant-curvature residual",
                   "conformal": "conformal norm", "bochner": "Bochner norm"}
@@ -137,8 +128,37 @@ class _ExactNorms:
         self.model, self.R, self.scale = model, R, scale
 
     @cached_property
+    def tau(self) -> float:
+        return trace_g(self.model, ricci(self.model, self.R))
+
+    @cached_property
+    def kappa(self) -> float:
+        """<pi1, R> / <pi1, pi1> = tau / (m(m-1)), the constant-curvature fit."""
+        m = self.model.dim
+        return self.tau / (m * (m - 1))
+
+    @cached_property
+    def fit(self) -> tuple:
+        """(nu_hat, mu_hat) of R ~ nu pi1 + (mu - nu)/3 pi2 under the metric
+        product <A, B> = A_ijkl B^ijkl, so basis-invariant.  For a
+        curvature-like R, <pi1, R> = 2 tau, <pi2, R> = 6 tau*, <pi1, pi1> =
+        2m(m-1), <pi1, pi2> = 6m and <pi2, pi2> = 6m(m+1), so the normal
+        equations solve in closed form.  Without J the fit is (kappa, None);
+        at m = 2 with J the only 2-plane is holomorphic (pi2 = 3 pi1), so
+        it is (None, kappa)."""
+        m = self.model.dim
+        if not self.model.has_cplx:
+            return self.kappa, None
+        if m == 2:
+            return None, self.kappa
+        tau, tau_star = self.tau, trace_g(self.model, ricci_star(self.model, self.R))
+        den = m * (m * m - 4)
+        nu = ((m + 1) * tau - 3.0 * tau_star) / den
+        return nu, nu + 3.0 * ((m - 1) * tau_star - tau) / den
+
+    @cached_property
     def const_curv(self) -> float:
-        return _const_curv_fit(pi1(self.model), self.R, self.scale)[1]
+        return max_norm(self.R - self.kappa * pi1(self.model)) / self.scale
 
     @cached_property
     def conformal(self) -> float:
@@ -148,33 +168,28 @@ class _ExactNorms:
     def bochner(self) -> float:
         return max_norm(bochner(self.model, self.R)) / self.scale
 
+    @cached_property
+    def antihol(self) -> float:
+        """The constant-antiholomorphic-form residual at the fitted nu."""
+        return antiholomorphic_form_residual(self.model, self.R, self.fit[0]) / self.scale
+
 
 def flatness_norms(model: ModelPoint, R) -> FlatnessNorms:
     """Exact-criterion norms: conformal, Bochner, pi1-projection residual,
     and the constant-antiholomorphic-form residual at the fitted nu.
 
-    pi1 and pi2 are built once, for the two fits; each derived tensor is
-    built once.  At m = 2 with J the only 2-plane is holomorphic (pi2 =
-    3 pi1), so mu is the constant-curvature fit and nu is undefined."""
+    The fits are closed forms in tau and tau*; pi1 is built once, for the
+    residual R - kappa pi1, and each derived tensor once.  A model with
+    m = 1 has no 2-plane and raises DimensionMismatch."""
     R = check_quad(model, R)
-    scale = residual_scale(R)
-    exact = _ExactNorms(model, R, scale)
-    p1 = pi1(model)
-    kappa, const_res = _const_curv_fit(p1, R, scale)
-    if not model.has_cplx:
-        nu_hat, mu_hat = kappa, None
-    elif model.dim == 2:
-        nu_hat, mu_hat = None, kappa
-    else:
-        nu_hat, mu_hat = _fit_pi(p1, pi2(model), R)
+    if model.dim < 2:
+        raise DimensionMismatch("flatness norms need dimension >= 2: an m = 1 model has no 2-plane")
+    exact = _ExactNorms(model, R, residual_scale(R))
+    nu_hat, mu_hat = exact.fit
     conf = exact.conformal if model.dim > 3 else None
-    boch = None
-    antihol = None
-    if model.has_cplx and model.dim >= 6 and model.dim % 2 == 0:
-        boch = exact.bochner
-    if model.has_cplx and nu_hat is not None:
-        antihol = antiholomorphic_form_residual(model, R, nu_hat) / scale
-    return FlatnessNorms(conf, boch, const_res, antihol, nu_hat, mu_hat)
+    boch = exact.bochner if model.has_cplx and model.dim >= 6 else None
+    antihol = exact.antihol if model.has_cplx and nu_hat is not None else None
+    return FlatnessNorms(conf, boch, exact.const_curv, antihol, nu_hat, mu_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +199,16 @@ def flatness_norms(model: ModelPoint, R) -> FlatnessNorms:
 
 def _consistency_report(sides, tol: Tolerance, count: int, witness=None,
                         value_prefix: str = "residual ") -> DiagReport:
-    """sides: list of (name, scaled_residual). Verdict: all agree."""
+    """sides: list of (name, scaled_residual). Verdict: all agree.  `witness`
+    is a function that builds the witness; it is called only when the
+    verdict is inconsistent."""
     passes = [r <= tol.rel for _, r in sides]
     verdict = all(passes) or not any(passes)
     notes = [f"{name}: {value_prefix}{r:.3e} -> {'pass' if ok else 'fail'}"
              for (name, r), ok in zip(sides, passes)]
     worst = max(r for _, r in sides)
-    return DiagReport(worst, None if verdict else witness, count, verdict, notes)
+    return DiagReport(worst, None if verdict or witness is None else witness(), count,
+                      verdict, notes)
 
 
 def _vanishing_side(kind: PlaneKind) -> str:
@@ -210,14 +228,15 @@ def _quadruple_sides(model, R, count, seed, tol, scale):
     v3 = np.abs(kval(X, Y, 1) + kval(A, B, 1) - kval(X, A, -1) - kval(Y, B, -1)) / scale
     sides = [("quadruple component vanishing", float(np.max(v2))),
              ("sectional curvature relation", float(np.max(v3)))]
-    return sides, quads[int(np.argmax(np.maximum(v2, v3)))]
+    return sides, lambda: quads[int(np.argmax(np.maximum(v2, v3)))]
 
 
 def _antiholomorphic_spread_sides(model, R, count, seed, tol, scale):
     """Theorem 5: weakly isotropic antiholomorphic vanishing against the
-    spread of sectional curvatures over nondegenerate antiholomorphic planes."""
+    spread of sectional curvatures over nondegenerate antiholomorphic planes;
+    the witness is the worst sampled plane when the vanishing side fails."""
     kind = PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC
-    hyp = vanishing_report(model, R, kind, count, seed, tol)
+    hyp, witness = _worst_plane(model, R, kind, count, seed, scale)
     planes = sample_planes(model, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, count, seed)
     U, V = planes.U, planes.V
     g = model.metric
@@ -225,8 +244,8 @@ def _antiholomorphic_spread_sides(model, R, count, seed, tol, scale):
             - np.einsum("ki,ij,kj->k", U, g, V) ** 2)
     ks = quad_eval_batch(R, U, V, V, U) / disc
     spread = float(np.max(ks) - np.min(ks)) / scale
-    return [(_vanishing_side(kind), hyp.max_residual),
-            ("antiholomorphic curvature spread", spread)], hyp.witness
+    return [(_vanishing_side(kind), hyp),
+            ("antiholomorphic curvature spread", spread)], witness if hyp > tol.rel else None
 
 
 @dataclass(frozen=True)
@@ -238,7 +257,7 @@ class TheoremSpec:
 
     kinds: tuple = ()
     exact: str = None
-    sides: Callable = None   # (model, R, count, seed, tol, scale) -> (sides, witness)
+    sides: Callable = None   # (model, R, count, seed, tol, scale) -> (sides, witness fn)
     report: Callable = None  # (model, R, count, seed, tol) -> DiagReport
     needs: Signature = None
 
@@ -295,9 +314,9 @@ def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 
     if spec.sides is not None:
         sides, witness = spec.sides(model, R, count, seed, tol, scale)
     else:
-        reps = [vanishing_report(model, R, kind, count, seed, tol) for kind in spec.kinds]
-        sides = [(_vanishing_side(kind), rep.max_residual) for kind, rep in zip(spec.kinds, reps)]
-        witness = next((rep.witness for rep in reps if rep.witness is not None), None)
+        found = [_worst_plane(model, R, kind, count, seed, scale) for kind in spec.kinds]
+        sides = [(_vanishing_side(kind), worst) for kind, (worst, _) in zip(spec.kinds, found)]
+        witness = next((fn for worst, fn in found if worst > tol.rel), None)
     if spec.exact is not None:
         exact = _ExactNorms(model, R, scale) if _exact is None else _exact
         sides.append((_ExactNorms.SIDE_NAMES[spec.exact], getattr(exact, spec.exact)))
@@ -319,7 +338,7 @@ def einstein_check(model: ModelPoint, R, count: int = 200, seed: int = 0,
     k = int(np.argmax(vals))
     einstein_res = max_norm(rho - (tau / model.dim) * model.metric) / scale
     sides = [("sampled max |rho(xi,xi)|", float(vals[k])), ("Einstein residual", einstein_res)]
-    return _consistency_report(sides, tol, count, XI[k], value_prefix="")
+    return _consistency_report(sides, tol, count, lambda: XI[k], value_prefix="")
 
 
 # where the sampled pairs exist: (+,-) for B, antiholomorphic for C, both for Lemma 1
@@ -353,7 +372,7 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
         X, Y, Z = np.array(rows).transpose(1, 0, 2)
         res = np.abs(quad_eval_batch(T, X, Y, Z, X)) / scale
         k = int(np.argmax(res))
-        witness = Frame(np.stack(rows[k]), (1, -1, 0))
+        witness = partial(Frame, np.stack(rows[k]), (1, -1, 0))
         sides = [("sampled hypothesis residual", float(res[k])),
                  ("constant-curvature residual", _ExactNorms(model, T, scale).const_curv)]
     else:
@@ -375,7 +394,7 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
                                quad_eval_batch(T, U, V, V, U),
                                quad_eval_batch(T, U, JU, V, U)], axis=1)) / scale
         k, j = divmod(int(np.argmax(res)), 3)
-        witness = Plane(X[k], JX[k]) if j == 0 else Plane(U[k], V[k])
+        witness = partial(Plane, X[k], JX[k]) if j == 0 else partial(Plane, U[k], V[k])
         sides = [("sampled hypothesis residual", float(res[k, j])),
                  ("tensor norm", max_norm(T) / scale)]
     return _consistency_report(sides, tol, count, witness, value_prefix="")

@@ -139,6 +139,15 @@ def _check_independent(vectors: np.ndarray, count: int):
         raise DependentInput("input vectors are linearly dependent")
 
 
+def _project_off(model: ModelPoint, v: np.ndarray, basis) -> np.ndarray:
+    """v projected off the g-orthonormal (vector, sign) pairs of `basis`, in
+    two passes: the second tightens orthogonality to about one ulp."""
+    for _pass in range(2):
+        for u, sgn in basis:
+            v = v - sgn * inner(model, v, u) * u
+    return v
+
+
 def gram_schmidt_indefinite(model, vectors, seed: int = 0, extend: bool = False,
                             tol=Tolerance()) -> Frame:
     """Orthonormalize `vectors` with respect to the indefinite metric.
@@ -175,9 +184,8 @@ def gram_schmidt_indefinite(model, vectors, seed: int = 0, extend: bool = False,
         rng = sample_rng(seed, 0)
         while len(chosen) < model.dim:
             for _ in range(500):
-                v = rng.uniform(-1.0, 1.0, model.dim)
-                for u, sgn in zip(chosen, signs):
-                    v = v - sgn * inner(model, v, u) * u
+                v = _project_off(model, rng.uniform(-1.0, 1.0, model.dim),
+                                 list(zip(chosen, signs)))
                 q = inner(model, v, v)
                 if abs(q) > 0.05:
                     chosen.append(v / np.sqrt(abs(q)))
@@ -310,10 +318,7 @@ def random_frame(model, signs, rng, antiholomorphic=False) -> list:
     frame, basis = [], []  # basis: (vector, sign) pairs candidates are projected off
     for want in signs:
         for _ in range(1000):
-            v = rng.uniform(-1.0, 1.0, model.dim)
-            for _pass in range(2):  # second pass tightens orthogonality to ~ulp
-                for u, sgn in basis:
-                    v = v - sgn * inner(model, v, u) * u
+            v = _project_off(model, rng.uniform(-1.0, 1.0, model.dim), basis)
             q = inner(model, v, v)
             if abs(q) > 0.2 and (q > 0) == (want > 0):
                 u = v / np.sqrt(abs(q))

@@ -183,6 +183,17 @@ class TestDiagnose:
         assert payload["mu_hat"] == pytest.approx(1.0, rel=1e-12)
         assert payload["nu_hat"] is None and payload["antihol_residual"] is None
 
+    def test_flatness_mode_at_m1_is_usage_error(self, tmp_path, capsys):
+        doc_path, rep_path = tmp_path / "m1.json", tmp_path / "flat.json"
+        assert run("gen", "const-curv", "--dim", "1", "--index", "0", "--c", "1",
+                   "--out", str(doc_path)) == 0
+        capsys.readouterr()
+        assert run("diagnose", str(doc_path), "--tensor", "R", "--theorem", "flatness",
+                   "--json", str(rep_path)) == 2
+        captured = capsys.readouterr()
+        assert "no 2-plane" in captured.err and "nan" not in captured.out
+        assert not rep_path.exists()
+
     def test_unsupported_signature_is_usage_error(self, tmp_path):
         doc_path = tmp_path / "lz.json"
         run("gen", "const-curv", "--dim", "4", "--index", "1", "--c", "1.0",
@@ -213,16 +224,6 @@ class TestIdentities:
                    "--samples", "50") == 0
         out = capsys.readouterr().out
         assert "verdict: pass" in out
-        assert "optional" not in out
-
-    def test_optional_identity_flag(self, tmp_path, capsys):
-        doc_path = tmp_path / "sf.json"
-        run("gen", "space-form", "--n", "4", "--s", "2", "--mu", "2.0",
-            "--nu", "0.5", "--out", str(doc_path))
-        capsys.readouterr()
-        run("identities", str(doc_path), "--tensor", "R", "--samples", "50",
-            "--include-k-mixed")
-        assert "optional" in capsys.readouterr().out
 
 
     @pytest.mark.parametrize("flat", [True, False])
@@ -249,16 +250,10 @@ class TestFuzz:
     def test_exit_zero_and_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run("fuzz", "--dim", "4", "--index", "2", "--trials", "5",
-                   "--samples", "50", "--seed", "11", "--out", str(a)) == 0
+                   "--samples", "50", "--seed", "11", "--json", str(a)) == 0
         assert run("fuzz", "--dim", "4", "--index", "2", "--trials", "5",
-                   "--samples", "50", "--seed", "11", "--out", str(b)) == 0
+                   "--samples", "50", "--seed", "11", "--json", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_json_matches_out(self, tmp_path):
-        out, rep = tmp_path / "out.json", tmp_path / "rep.json"
-        assert run("fuzz", "--dim", "4", "--index", "2", "--trials", "2", "--samples", "20",
-                   "--out", str(out), "--json", str(rep)) == 0
-        assert rep.read_bytes() == out.read_bytes()
 
     def test_stdout_summary(self, capsys):
         assert run("fuzz", "--dim", "4", "--index", "2", "--trials", "2",

@@ -25,7 +25,12 @@ from isocurv import (
     vanishing_report,
 )
 from isocurv.diagnostics import THEOREMS, applicable_theorems
-from isocurv.errors import InvalidSampleCount, NonFiniteTensor, UnsupportedSignature
+from isocurv.errors import (
+    DimensionMismatch,
+    InvalidSampleCount,
+    NonFiniteTensor,
+    UnsupportedSignature,
+)
 from isocurv.tensors import max_norm
 
 from conftest import random_symmetric
@@ -89,6 +94,12 @@ class TestFlatnessNorms:
         assert norms.nu_hat is None and norms.antihol_residual is None
         assert norms.const_curv_residual <= 1e-12
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_m1_has_no_plane(self, index):
+        model = ModelPoint(1, index)
+        with pytest.raises(DimensionMismatch, match="no 2-plane"):
+            flatness_norms(model, build_constant_curvature(model, 1.0))
+
     def test_random_tensor_far_from_flat(self, m22):
         norms = flatness_norms(m22, random_curvature_like(m22, 1))
         assert norms.conf_norm > 1e-3
@@ -122,10 +133,17 @@ class TestDerivedTensorsBuiltOnce:
 
         R = random_curvature_like(h44, 5)
         want = flatness_norms(h44, R)
-        counter = _CallCounter(monkeypatch, diag, ["pi1", "pi2", "conformal", "bochner",
+        counter = _CallCounter(monkeypatch, diag, ["pi1", "conformal", "bochner",
                                                    "antiholomorphic_form_residual"])
         assert flatness_norms(h44, R) == want
         assert set(counter.calls.values()) == {1}
+
+    def test_flatness_norms_builds_no_pi2(self, h44, monkeypatch):
+        import isocurv.canonical as canonical
+
+        counter = _CallCounter(monkeypatch, canonical, ["pi2"])
+        flatness_norms(h44, random_curvature_like(h44, 5))
+        assert counter.calls == {"pi2": 0}
 
     def test_equivalence_check_alone_matches_fuzz_sharing(self, h44):
         R = random_curvature_like(h44, 0, 0)
@@ -133,6 +151,42 @@ class TestDerivedTensorsBuiltOnce:
         for tid in applicable_theorems(h44):
             rep = equivalence_check(h44, R, tid, 5, 0)
             assert summary["checks"][tid.value]["consistent"] == int(rep.verdict)
+
+
+class TestWitnesses:
+    def test_consistent_fuzz_builds_no_witness(self, h44, monkeypatch):
+        built = []
+        for cls in (Plane, Frame):
+            def counted(self, init=cls.__post_init__):
+                built.append(self)
+                init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        summary = fuzz(h44, 10, samples=100)
+        assert summary["inconsistencies"] == []
+        assert built == []
+
+    def test_inconsistent_verdicts_keep_the_worst_sample(self, h44):
+        # at tol 2 every sampled side of this tensor fails and every exact
+        # side passes; Thm5's two sampled sides fail together, as do Lemma2's
+        R, tol = random_curvature_like(h44, 0), 2.0
+        scale = max(1.0, max_norm(R))
+        for tid in applicable_theorems(h44):
+            rep = equivalence_check(h44, R, tid, 20, 0, tol)
+            spec = THEOREMS[tid]
+            if tid in (TheoremId.THM_5_WEAK_ISO_ANTIHOL, TheoremId.LEMMA_2_EQUIV):
+                assert rep.verdict and rep.witness is None
+            elif tid is TheoremId.THM_2_QUADRUPLES:
+                x, y, a, b = rep.witness.vectors
+                k = [quad_eval(R, *pair, *pair[::-1]) for pair in ((x, y), (a, b), (x, a), (y, b))]
+                replay = max(abs(quad_eval(R, x, y, a, b)), abs(k[0] + k[1] + k[2] + k[3])) / scale
+                assert not rep.verdict and replay == pytest.approx(rep.max_residual, rel=1e-12)
+            elif tid is TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI:
+                assert not rep.verdict and rep.witness.shape == (h44.dim,)
+            else:
+                want = vanishing_report(h44, R, spec.kinds[0], 20, 0).witness
+                assert not rep.verdict
+                assert np.array_equal(rep.witness.x, want.x)
+                assert np.array_equal(rep.witness.y, want.y)
 
 
 class TestEquivalence:

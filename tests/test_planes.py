@@ -28,6 +28,7 @@ from isocurv.errors import (
     UnsupportedSignature,
 )
 from isocurv.planes import SIGNATURES, isotropic_vectors, random_frame, sample_rng
+from isocurv.tensors import max_norm
 
 
 def e(m, i):
@@ -77,6 +78,19 @@ class TestGramSchmidt:
                 assert len(frame) == m and frame.signs.count(-1) == s
                 G = frame.vectors @ model.metric @ frame.vectors.T
                 assert np.allclose(G, np.diag(frame.signs), atol=1e-10)
+
+    def test_extend_is_orthonormal_to_rounding(self):
+        # the completion projects each candidate off the frame twice, like
+        # random_frame; one pass leaves errors up to about 3e-12 here
+        worst = 0.0
+        for m in (8, 12, 16, 20):
+            for s in range(m + 1):
+                model = ModelPoint(m, s)
+                for seed in range(3):
+                    F = gram_schmidt_indefinite(model, [e(m, 0)], seed=seed, extend=True)
+                    G = F.vectors @ model.metric @ F.vectors.T
+                    worst = max(worst, max_norm(G - np.diag(F.signs)))
+        assert worst <= 5e-13
 
     def test_extend_deterministic(self, m22):
         a = gram_schmidt_indefinite(m22, [e(4, 1)], extend=True, seed=3)
