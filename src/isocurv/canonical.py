@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, HybridConditionViolated, IsocurvError
 from .model import ModelPoint, Tolerance, as_tolerance
-from .planes import PLUS_MINUS_PAIR, check_count, random_frame, sample_rng
+from .planes import PLUS_MINUS_PAIR, check_count, random_frames, sample_rng
 from .tensors import (
     check_quad,
     conjugate_riccis,
@@ -276,12 +276,10 @@ def theorem6_identities(model: ModelPoint, R, samples: int = 100, seed: int = 0,
     ts = trace_g(model, rs)
 
     # per sample: a spacelike unit x, then a (+,-) orthonormal pair (y, b)
-    rows = []
-    for i in range(samples):
-        rng = sample_rng(seed, i)
-        rows.append(random_frame(model, (1,), rng) + random_frame(model, (1, -1), rng))
+    rngs = [sample_rng(seed, i) for i in range(samples)]
+    X = random_frames(model, (1,), rngs)[:, 0]
+    Y, B = random_frames(model, (1, -1), rngs).transpose(1, 0, 2)
     E = np.eye(m)
-    X, Y, B = np.array(rows).transpose(1, 0, 2)
     JE, JX, JY, JB = (A @ J.T for A in (E, X, Y, B))
 
     # every 4-vector evaluation in one kernel call, split by block below:

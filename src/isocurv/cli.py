@@ -26,6 +26,7 @@ from .docio import TensorDocument, load_document, save_document
 from .errors import IsocurvError
 from .model import ModelPoint, Tolerance, hermitian_model
 from .planes import (
+    Frame,
     Plane,
     PlaneClass,
     classify_holomorphy,
@@ -40,7 +41,10 @@ def _parse_vec(text: str, dim: int) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != dim:
         raise IsocurvError(f"expected {dim} components, got {len(parts)}")
-    return np.array([float(p) for p in parts])
+    try:
+        return np.array([float(p) for p in parts])
+    except ValueError:
+        raise IsocurvError(f"not a number among the components {text!r}") from None
 
 
 def _write_json(args, payload) -> None:
@@ -132,6 +136,16 @@ def _print_report(rep) -> None:
     print(f"verdict: {'consistent' if rep.verdict else 'INCONSISTENT'}")
 
 
+def _witness_rows(witness):
+    """The basis rows of a report's witness as lists: [x, y] of a Plane, a
+    Frame's rows, [xi] of an isotropic vector; None when there is none."""
+    if witness is None:
+        return None
+    if isinstance(witness, Plane):
+        return [witness.x.tolist(), witness.y.tolist()]
+    return (witness.vectors if isinstance(witness, Frame) else np.atleast_2d(witness)).tolist()
+
+
 def cmd_diagnose(args) -> int:
     doc = load_document(args.path)
     model = doc.model
@@ -152,6 +166,7 @@ def cmd_diagnose(args) -> int:
         "samples_used": rep.samples_used,
         "verdict": rep.verdict,
         "notes": rep.side_notes,
+        "witness": _witness_rows(rep.witness),
     }
     _write_json(args, payload)
     return 0 if rep.verdict else 1

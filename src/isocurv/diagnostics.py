@@ -27,8 +27,8 @@ from .canonical import (
     conformal,
     pi1,
 )
-from .errors import DimensionMismatch, UnsupportedSignature
-from .model import ModelPoint, Tolerance, as_tolerance
+from .errors import DimensionMismatch, InvalidSampleCount, UnsupportedSignature
+from .model import ModelPoint, Tolerance, as_tolerance, inner_rows
 from .planes import (
     PLUS_MINUS_PAIR,
     SIGNATURES,
@@ -38,7 +38,7 @@ from .planes import (
     Signature,
     check_count,
     isotropic_vectors,
-    random_frame,
+    random_frames,
     sample_planes,
     sample_rng,
 )
@@ -287,7 +287,7 @@ THEOREMS = {
     TheoremId.THM_7_ISO_HOL_BOCHNER:
         # holds from (4,4) on, where an antiholomorphic (+,+,-,-) frame exists
         TheoremSpec((PlaneKind.ISOTROPIC_HOLOMORPHIC,), exact="bochner",
-                    needs=Signature(True, ((1, 1, -1, -1),))),
+                    needs=SIGNATURES[PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC]),
     TheoremId.LEMMA_2_EQUIV:
         TheoremSpec((PlaneKind.ISOTROPIC_HOLOMORPHIC,
                      PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC)),
@@ -345,7 +345,7 @@ def einstein_check(model: ModelPoint, R, count: int = 200, seed: int = 0,
 _UNIQUENESS_SIGNATURES = {
     UniquenessKind.THM_B: PLUS_MINUS_PAIR,
     UniquenessKind.THM_C: SIGNATURES[PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC],
-    UniquenessKind.LEMMA_1: Signature(True, ((1, -1),)),
+    UniquenessKind.LEMMA_1: SIGNATURES[PlaneKind.ISOTROPIC_HOLOMORPHIC],
 }
 
 
@@ -360,33 +360,25 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
     row = _UNIQUENESS_SIGNATURES[kind]
     options = row.require(model, f"{kind.value} sampling")
 
+    rngs = [sample_rng(seed, i) for i in range(count)]
     if kind is UniquenessKind.THM_B:
-        g = model.metric
-        rows = []
-        for i in range(count):
-            rng = sample_rng(seed, i)
-            x, y = random_frame(model, row.pick(options, rng), rng)
-            z = rng.uniform(-1.0, 1.0, model.dim)
-            z = z - (z @ g @ x) * (x / (x @ g @ x)) - (z @ g @ y) * (y / (y @ g @ y))
-            rows.append((x, y, z))
-        X, Y, Z = np.array(rows).transpose(1, 0, 2)
+        X, Y = random_frames(model, row.pick(options, rngs), rngs).transpose(1, 0, 2)
+        Z = np.stack([rng.uniform(-1.0, 1.0, model.dim) for rng in rngs])
+        Z = (Z - inner_rows(model, Z, X)[:, None] * (X / inner_rows(model, X, X)[:, None])
+             - inner_rows(model, Z, Y)[:, None] * (Y / inner_rows(model, Y, Y)[:, None]))
         res = np.abs(quad_eval_batch(T, X, Y, Z, X)) / scale
         k = int(np.argmax(res))
-        witness = partial(Frame, np.stack(rows[k]), (1, -1, 0))
+        witness = partial(Frame, np.stack([X[k], Y[k], Z[k]]), (1, -1, 0))
         sides = [("sampled hypothesis residual", float(res[k])),
                  ("constant-curvature residual", _ExactNorms(model, T, scale).const_curv)]
     else:
         J = model.cplx
-        rows = []
-        for i in range(count):
-            rng = sample_rng(seed, i)
-            if kind is UniquenessKind.LEMMA_1:
-                (x,) = random_frame(model, (1,), rng)
-            else:
-                x = rng.uniform(-1.0, 1.0, model.dim)
-            u, v = random_frame(model, row.pick(options, rng), rng, antiholomorphic=True)
-            rows.append((x, u, v))
-        X, U, V = np.array(rows).transpose(1, 0, 2)
+        if kind is UniquenessKind.LEMMA_1:
+            X = random_frames(model, (1,), rngs)[:, 0]
+        else:
+            X = np.stack([rng.uniform(-1.0, 1.0, model.dim) for rng in rngs])
+        U, V = random_frames(model, row.pick(options, rngs), rngs,
+                             antiholomorphic=True).transpose(1, 0, 2)
         JX, JU = X @ J.T, U @ J.T
         # per sample: R(x,Jx,Jx,x) on the holomorphic plane, then R(u,v,v,u)
         # and R(u,Ju,v,u) on the antiholomorphic one; ties go to the earliest
@@ -433,6 +425,8 @@ def fuzz(model: ModelPoint, trials: int, seed: int = 0, samples: int = 100,
     check; any one-sided outcome is recorded with its reproduction seed."""
     tol = as_tolerance(tol)
     check_count(samples)
+    if trials < 1:
+        raise InvalidSampleCount(f"need at least one trial, got {trials}")
     theorems = applicable_theorems(model)
     if not theorems:
         raise UnsupportedSignature(

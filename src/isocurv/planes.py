@@ -31,7 +31,7 @@ from .errors import (
     NonFiniteTensor,
     UnsupportedSignature,
 )
-from .model import ModelPoint, Tolerance, as_tolerance, inner
+from .model import ModelPoint, Tolerance, as_tolerance, inner, inner_rows
 from .tensors import check_quad, quad_eval
 
 _SEED_MASK = (1 << 63) - 1
@@ -139,15 +139,6 @@ def _check_independent(vectors: np.ndarray, count: int):
         raise DependentInput("input vectors are linearly dependent")
 
 
-def _project_off(model: ModelPoint, v: np.ndarray, basis) -> np.ndarray:
-    """v projected off the g-orthonormal (vector, sign) pairs of `basis`, in
-    two passes: the second tightens orthogonality to about one ulp."""
-    for _pass in range(2):
-        for u, sgn in basis:
-            v = v - sgn * inner(model, v, u) * u
-    return v
-
-
 def gram_schmidt_indefinite(model, vectors, seed: int = 0, extend: bool = False,
                             tol=Tolerance()) -> Frame:
     """Orthonormalize `vectors` with respect to the indefinite metric.
@@ -184,8 +175,10 @@ def gram_schmidt_indefinite(model, vectors, seed: int = 0, extend: bool = False,
         rng = sample_rng(seed, 0)
         while len(chosen) < model.dim:
             for _ in range(500):
-                v = _project_off(model, rng.uniform(-1.0, 1.0, model.dim),
-                                 list(zip(chosen, signs)))
+                v = rng.uniform(-1.0, 1.0, model.dim)
+                for _pass in range(2):  # the second pass tightens orthogonality to about one ulp
+                    for u, sgn in zip(chosen, signs):
+                        v = v - sgn * inner(model, v, u) * u
                 q = inner(model, v, v)
                 if abs(q) > 0.05:
                     chosen.append(v / np.sqrt(abs(q)))
@@ -251,11 +244,13 @@ def sectional_curvature(model: ModelPoint, R, p: Plane, tol=Tolerance()) -> floa
 class Signature:
     """Where a sampled construction exists: whether it needs J, and its frame
     sign options in order of preference.  The sampler takes the first option
-    that fits (see ``least``), or with ``pick_at_random`` draws one from the
-    sample's generator."""
+    that fits (see ``least``), or with ``pick_at_random`` draws one from
+    each sample's generator.  For a plane kind, ``rows`` lists the frame rows
+    summed into each basis vector of the sample."""
 
     needs_j: bool
     options: tuple  # frame sign tuples
+    rows: tuple = None  # per basis vector, the frame rows it sums
     pick_at_random: bool = False
 
     @cached_property
@@ -282,22 +277,30 @@ class Signature:
                 f"{what} impossible for signature ({model.index},{model.dim - model.index}){need}")
         return options
 
-    def pick(self, options: list, rng: np.random.Generator) -> tuple:
-        return options[rng.integers(len(options))] if self.pick_at_random else options[0]
+    def pick(self, options: list, rngs: list):
+        """The ``signs`` of a ``random_frames`` call over `rngs`: the first
+        option, or with ``pick_at_random`` one drawn from each generator."""
+        if not self.pick_at_random:
+            return options[0]
+        return [options[rng.integers(len(options))] for rng in rngs]
 
 
-# One row per plane kind.  _sample_one draws the frame (antiholomorphic when
-# the kind needs J) and combines it: x + a is isotropic for a (+,-) pair (x, a).
+# One row per plane kind.  x + a is isotropic for a (+,-) pair (x, a), so a
+# weakly isotropic plane (x + a, y) sums rows 0 and 2 of an (x, y, a) frame.
 SIGNATURES = {
-    PlaneKind.WEAKLY_ISOTROPIC: Signature(False, ((1, 1, -1), (-1, -1, 1))),
-    PlaneKind.STRONGLY_ISOTROPIC: Signature(False, ((1, 1, -1, -1),)),
-    PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC: Signature(True, ((1, 1, -1), (-1, -1, 1))),
-    PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC: Signature(True, ((1, 1, -1, -1),)),
-    PlaneKind.ISOTROPIC_HOLOMORPHIC: Signature(True, ((1, -1),)),
+    PlaneKind.WEAKLY_ISOTROPIC: Signature(False, ((1, 1, -1), (-1, -1, 1)), ((0, 2), (1,))),
+    PlaneKind.STRONGLY_ISOTROPIC: Signature(False, ((1, 1, -1, -1),), ((0, 2), (1, 3))),
+    PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC:
+        Signature(True, ((1, 1, -1), (-1, -1, 1)), ((1, 2), (0,))),
+    PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC:
+        Signature(True, ((1, 1, -1, -1),), ((0, 2), (1, 3))),
+    # (xi, J xi) for xi = x + a; sample_planes adds the J-image
+    PlaneKind.ISOTROPIC_HOLOMORPHIC: Signature(True, ((1, -1),), ((0, 1),)),
     PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC:
-        Signature(True, ((1, 1), (1, -1), (-1, -1)), pick_at_random=True),
-    PlaneKind.QUADRUPLE_PPMM: Signature(False, (_QUADRUPLE_SIGNS,)),
-    PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM: Signature(True, (_QUADRUPLE_SIGNS,)),
+        Signature(True, ((1, 1), (1, -1), (-1, -1)), ((0,), (1,)), pick_at_random=True),
+    PlaneKind.QUADRUPLE_PPMM: Signature(False, (_QUADRUPLE_SIGNS,), ((0,), (1,), (2,), (3,))),
+    PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM:
+        Signature(True, (_QUADRUPLE_SIGNS,), ((0,), (1,), (2,), (3,))),
 }
 # a (+,-) orthonormal pair (x, a); x + a is isotropic
 PLUS_MINUS_PAIR = Signature(False, ((1, -1),))
@@ -308,49 +311,44 @@ def sample_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng([seed & _SEED_MASK, i])
 
 
-def random_frame(model, signs, rng, antiholomorphic=False) -> list:
-    """Orthonormal frame with prescribed sign labels by projection + rejection.
+def _j_images(J: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """J u for each row u of U, with the bits of ``J @ u``."""
+    return (J @ U[..., None])[..., 0]
 
-    Each candidate is projected off every accepted vector and, with
-    ``antiholomorphic=True``, off its J-image too, so all pairs of the
-    result span antiholomorphic planes.
-    """
-    frame, basis = [], []  # basis: (vector, sign) pairs candidates are projected off
-    for want in signs:
+
+def random_frames(model, signs, rngs, antiholomorphic=False) -> np.ndarray:
+    """(k, n, m) g-orthonormal frames with the sign labels `signs` (one n-tuple,
+    or one per frame), frame i drawn from ``rngs[i]`` alone.  The frames
+    advance in lockstep, one sign position at a time: a frame not yet done
+    draws a candidate from its generator, projects it in two passes off its
+    accepted vectors (and, if ``antiholomorphic``, off their J-images, so all
+    pairs of a frame span antiholomorphic planes) and keeps it if its
+    |g(v,v)| > 0.2 has the wanted sign."""
+    k, m = len(rngs), model.dim
+    want = np.broadcast_to(signs, (k, np.shape(signs)[-1]))
+    frames = np.empty(want.shape + (m,))
+    basis = []  # (vectors, signs) of the rows each candidate is projected off
+    for j in range(want.shape[1]):
+        todo = np.arange(k)
         for _ in range(1000):
-            v = _project_off(model, rng.uniform(-1.0, 1.0, model.dim), basis)
-            q = inner(model, v, v)
-            if abs(q) > 0.2 and (q > 0) == (want > 0):
-                u = v / np.sqrt(abs(q))
-                frame.append(u)
-                basis.append((u, want))
-                if antiholomorphic:
-                    basis.append((model.cplx @ u, want))
+            if not todo.size:
                 break
-        else:
+            V = np.stack([rngs[i].uniform(-1.0, 1.0, m) for i in todo])
+            for _pass in range(2):
+                for U, sgn in basis:
+                    V = V - (sgn[todo] * inner_rows(model, V, U[todo]))[:, None] * U[todo]
+            q = inner_rows(model, V, V)
+            ok = (np.abs(q) > 0.2) & ((q > 0) == (want[todo, j] > 0))
+            frames[todo[ok], j] = V[ok] / np.sqrt(np.abs(q[ok]))[:, None]
+            todo = todo[~ok]
+        if todo.size:
             raise UnsupportedSignature(
-                f"could not realize a frame of signature {signs} in ({model.index},{model.dim - model.index})")
-    return frame
-
-
-def _sample_one(model: ModelPoint, kind: PlaneKind, options: list, rng):
-    """Basis rows of one sample: (x, y) of a plane, or a quadruple's frame,
-    from a frame with one of the kind's fitting sign `options`."""
-    row = SIGNATURES[kind]
-    frame = random_frame(model, row.pick(options, rng), rng, antiholomorphic=row.needs_j)
-    if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
-        xi = np.add(*frame)  # x + a for the (+,-) frame (x, a)
-        return xi, model.cplx @ xi
-    if kind is PlaneKind.WEAKLY_ISOTROPIC:
-        x, y, a = frame
-        return x + a, y
-    if kind is PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC:
-        x, y, a = frame
-        return y + a, x
-    if kind in (PlaneKind.STRONGLY_ISOTROPIC, PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC):
-        x, y, a, b = frame
-        return x + a, y + b
-    return frame  # nondegenerate antiholomorphic planes and the quadruples
+                f"could not realize a frame of signature {tuple(int(s) for s in want[todo[0]])}"
+                f" in ({model.index},{model.dim - model.index})")
+        basis.append((frames[:, j], want[:, j]))
+        if antiholomorphic:
+            basis.append((_j_images(model.cplx, frames[:, j]), want[:, j]))
+    return frames
 
 
 _SAMPLE_CACHE: dict = {}
@@ -385,10 +383,15 @@ def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0)
     check_count(count)
 
     def build():
-        options = SIGNATURES[kind].require(model, f"kind {kind.value}")
-        rows = [_sample_one(model, kind, options, sample_rng(seed, i)) for i in range(count)]
+        row = SIGNATURES[kind]
+        options = row.require(model, f"kind {kind.value}")
+        rngs = [sample_rng(seed, i) for i in range(count)]
+        frames = random_frames(model, row.pick(options, rngs), rngs, antiholomorphic=row.needs_j)
+        vectors = np.stack([frames[:, list(rows)].sum(axis=1) for rows in row.rows], axis=1)
+        if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
+            vectors = np.stack([vectors[:, 0], _j_images(model.cplx, vectors[:, 0])], axis=1)
         quadruple = kind in (PlaneKind.QUADRUPLE_PPMM, PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM)
-        return PlaneBatch(rows, _QUADRUPLE_SIGNS if quadruple else None)
+        return PlaneBatch(vectors, _QUADRUPLE_SIGNS if quadruple else None)
 
     return _memoized(model, kind, count, seed, build)
 
@@ -400,8 +403,8 @@ def isotropic_vectors(model: ModelPoint, count: int, seed: int = 0) -> np.ndarra
 
     def build():
         (signs,) = PLUS_MINUS_PAIR.require(model, "isotropic vectors")
-        vectors = np.stack([np.add(*random_frame(model, signs, sample_rng(seed, i)))
-                            for i in range(count)])
+        rngs = [sample_rng(seed, i) for i in range(count)]
+        vectors = random_frames(model, signs, rngs).sum(axis=1)  # x + a
         vectors.setflags(write=False)
         return vectors
 

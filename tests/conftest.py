@@ -7,7 +7,7 @@ einsum so they stay independent of the library's contraction paths.
 import numpy as np
 import pytest
 
-from isocurv import ModelPoint, hermitian_model
+from isocurv import ModelPoint, hermitian_model, inner
 
 
 def oracle_ricci(model, T):
@@ -175,6 +175,32 @@ def oracle_bochner(g, J, R):
             - oracle_psi(g, J, s3) / (4.0 * (n + 1)) + oracle_phi(g, s4) / (4.0 * (n - 1))
             + (tau + 3.0 * tau_star) * (p1 + p2) / (16.0 * (n + 1) * (n + 2))
             + (tau - tau_star) * (3.0 * p1 - p2) / (16.0 * (n - 1) * (n - 2)))
+
+
+def oracle_random_frame(model, signs, rng, antiholomorphic=False):
+    """One g-orthonormal frame with sign labels `signs` from one generator, a
+    vector at a time: each candidate rng.uniform(-1, 1, m) is projected in two
+    passes off the accepted vectors (and their J-images when antiholomorphic)
+    with one ``inner`` call per product, and kept when |g(v,v)| > 0.2 has the
+    wanted sign."""
+    frame, basis = [], []
+    for want in signs:
+        for _ in range(1000):
+            v = rng.uniform(-1.0, 1.0, model.dim)
+            for _pass in range(2):
+                for u, sgn in basis:
+                    v = v - sgn * inner(model, v, u) * u
+            q = inner(model, v, v)
+            if abs(q) > 0.2 and (q > 0) == (want > 0):
+                u = v / np.sqrt(abs(q))
+                frame.append(u)
+                basis.append((u, want))
+                if antiholomorphic:
+                    basis.append((model.cplx @ u, want))
+                break
+        else:
+            raise AssertionError(f"no frame of signature {signs}")
+    return frame
 
 
 def pulled_back_hermitian(m, index, seed=0):

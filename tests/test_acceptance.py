@@ -40,7 +40,7 @@ from isocurv import (
     vanishing_report,
     equivalence_check,
 )
-from isocurv.planes import isotropic_vectors, random_frame, sample_rng
+from isocurv.planes import isotropic_vectors, random_frames, sample_rng
 from isocurv.tensors import max_norm, trace_g
 
 from conftest import random_symmetric
@@ -173,7 +173,7 @@ def test_06_space_form_curvatures(h44):
     J = h44.cplx
     worst = 0.0
     for i in range(100):
-        (x,) = random_frame(h44, (1,), sample_rng(6, i))
+        (x,) = random_frames(h44, (1,), [sample_rng(6, i)])[0]
         k = sectional_curvature(h44, R, Plane(x, J @ x))
         worst = max(worst, abs(k - mu) / max(1.0, abs(mu)))
     for p in sample_planes(h44, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, 100, seed=6):
@@ -183,7 +183,7 @@ def test_06_space_form_curvatures(h44):
     # holomorphic one
     mu2 = 1.8
     RK = build_space_form(h44, mu2 / 4.0, mu2)
-    (x,) = random_frame(h44, (1,), sample_rng(6, 200))
+    (x,) = random_frames(h44, (1,), [sample_rng(6, 200)])[0]
     k_hol = sectional_curvature(h44, RK, Plane(x, J @ x))
     p = sample_planes(h44, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, 1, seed=7)[0]
     k_anti = sectional_curvature(h44, RK, p)

@@ -10,6 +10,8 @@ from isocurv import (
     build_space_form,
     hermitian_model,
     load_document,
+    pi1,
+    quad_eval,
     save_document,
 )
 from isocurv.cli import main
@@ -132,6 +134,15 @@ class TestClassify:
             "--out", str(doc_path))
         assert run("classify", str(doc_path), "--u", "1,0", "--v", "0,0,1,0") == 2
 
+    def test_non_numeric_component_is_usage_error(self, tmp_path, capsys):
+        doc_path = tmp_path / "sf.json"
+        run("gen", "space-form", "--n", "4", "--s", "2", "--mu", "2.0",
+            "--nu", "0.5", "--out", str(doc_path))
+        capsys.readouterr()
+        assert run("classify", str(doc_path), "--u", "1,abc,0,0,0,0,0,0",
+                   "--v", "0,1,0,0,0,0,0,0") == 2
+        assert "not a number" in capsys.readouterr().err
+
 
 class TestDiagnose:
     def test_consistent_exit_zero(self, tmp_path):
@@ -214,6 +225,45 @@ class TestDiagnose:
         assert "at least one sample" in capsys.readouterr().err
 
 
+class TestDiagnoseWitness:
+    """The JSON report's "witness": the basis rows of the worst sample when
+    the verdict is inconsistent, null otherwise.  pi1 + 1e-10 D on (2,2) is
+    near flat, so its sampled sides fail where the exact sides pass."""
+
+    @staticmethod
+    def report(tmp_path, theorem):
+        model = ModelPoint(4, 2)
+        D = random_curvature_like(model, 3)
+        R = pi1(model) + 1e-10 * D / np.max(np.abs(D))
+        doc_path, rep_path = tmp_path / "near.json", tmp_path / "rep.json"
+        save_document(TensorDocument(model, {"R": R}), doc_path)
+        code = run("diagnose", str(doc_path), "--tensor", "R", "--theorem", theorem,
+                   "--samples", "100", "--json", str(rep_path))
+        return R, code, json.loads(rep_path.read_text())
+
+    def test_plane_rows_reproduce_the_residual(self, tmp_path):
+        R, code, payload = self.report(tmp_path, "ThmA_weakIso_constK")
+        assert code == 1 and not payload["verdict"]
+        x, y = np.array(payload["witness"])
+        scale = max(1.0, float(np.max(np.abs(R))))
+        assert abs(quad_eval(R, x, y, y, x)) / scale == pytest.approx(
+            payload["max_residual"], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("theorem, rows", [("Thm2_quadruples", 4),
+                                               ("EinsteinFromIsotropicRicci", 1)])
+    def test_frame_and_vector_rows(self, tmp_path, theorem, rows):
+        _, code, payload = self.report(tmp_path, theorem)
+        assert code == 1 and np.shape(payload["witness"]) == (rows, 4)
+
+    def test_consistent_verdict_has_null_witness(self, tmp_path):
+        doc_path, rep_path = tmp_path / "cc.json", tmp_path / "rep.json"
+        run("gen", "const-curv", "--dim", "4", "--index", "2", "--c", "2.0",
+            "--out", str(doc_path))
+        assert run("diagnose", str(doc_path), "--tensor", "R", "--theorem",
+                   "ThmA_weakIso_constK", "--json", str(rep_path)) == 0
+        assert json.loads(rep_path.read_text())["witness"] is None
+
+
 class TestIdentities:
     def test_space_form_passes(self, tmp_path, capsys):
         doc_path = tmp_path / "sf.json"
@@ -266,6 +316,13 @@ class TestFuzz:
     def test_sample_count_below_one_is_usage_error(self):
         assert run("fuzz", "--dim", "4", "--index", "2", "--trials", "1",
                    "--samples", "0") == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trial_count_below_one_is_usage_error(self, capsys, trials):
+        assert run("fuzz", "--dim", "8", "--index", "4", "--complex",
+                   "--trials", trials) == 2
+        captured = capsys.readouterr()
+        assert "trial" in captured.err and captured.out == ""
 
 
 class TestNonFiniteTensor:

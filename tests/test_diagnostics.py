@@ -408,6 +408,11 @@ class TestSampleCounts:
         with pytest.raises(InvalidSampleCount):
             fuzz(h44, 1, samples=count)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fuzz_trials(self, h44, trials):
+        with pytest.raises(InvalidSampleCount, match="trial"):
+            fuzz(h44, trials)
+
 
 SMALL_MODELS = ([ModelPoint(m, s) for m in range(1, 7) for s in range(m + 1)]
                 + [hermitian_model(m, s) for m in (2, 4, 6, 8) for s in range(0, m + 1, 2)])

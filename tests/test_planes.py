@@ -27,8 +27,10 @@ from isocurv.errors import (
     NonFiniteTensor,
     UnsupportedSignature,
 )
-from isocurv.planes import SIGNATURES, isotropic_vectors, random_frame, sample_rng
+from isocurv.planes import SIGNATURES, isotropic_vectors, random_frames, sample_rng
 from isocurv.tensors import max_norm
+
+from conftest import oracle_random_frame, pulled_back_hermitian
 
 
 def e(m, i):
@@ -308,6 +310,54 @@ class TestPlaneBatch:
             sample_planes(m22, PlaneKind.WEAKLY_ISOTROPIC, count, seed=0)
 
 
+# each kind's sample from its frame (x, y, a, b), written out per kind
+ORACLE_ASSEMBLY = {
+    PlaneKind.WEAKLY_ISOTROPIC: lambda J, f: [f[0] + f[2], f[1]],
+    PlaneKind.STRONGLY_ISOTROPIC: lambda J, f: [f[0] + f[2], f[1] + f[3]],
+    PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC: lambda J, f: [f[1] + f[2], f[0]],
+    PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC: lambda J, f: [f[0] + f[2], f[1] + f[3]],
+    PlaneKind.ISOTROPIC_HOLOMORPHIC: lambda J, f: [f[0] + f[1], J @ (f[0] + f[1])],
+    PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC: lambda J, f: f,
+    PlaneKind.QUADRUPLE_PPMM: lambda J, f: f,
+    PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM: lambda J, f: f,
+}
+
+
+class TestLockstepFrames:
+    """The batched sampler against the per-sample oracle in conftest."""
+
+    @pytest.mark.parametrize("kind", list(PlaneKind))
+    @pytest.mark.parametrize("model", [hermitian_model(8, 4), pulled_back_hermitian(8, 4)],
+                             ids=["h44", "pulled-back-h44"])
+    def test_sample_planes_match_the_oracle(self, model, kind):
+        row = SIGNATURES[kind]
+        options = row.fitting(model)
+        expected = []
+        for i in range(25):
+            rng = sample_rng(2, i)
+            signs = options[rng.integers(len(options))] if row.pick_at_random else options[0]
+            frame = oracle_random_frame(model, signs, rng, antiholomorphic=row.needs_j)
+            expected.append(ORACLE_ASSEMBLY[kind](model.cplx, frame))
+        assert np.array_equal(sample_planes(model, kind, 25, seed=2).vectors, expected)
+
+    @pytest.mark.parametrize("model", [hermitian_model(8, 4), pulled_back_hermitian(8, 4)],
+                             ids=["h44", "pulled-back-h44"])
+    def test_rows_are_independent(self, model):
+        # mixed per-row signs: row i of the batch is the one-row call on rngs[i]
+        signs = [(1, 1), (1, -1), (-1, -1), (-1, 1)] * 3
+        batch = random_frames(model, signs, [sample_rng(4, i) for i in range(12)],
+                              antiholomorphic=True)
+        for i, want in enumerate(signs):
+            one = random_frames(model, want, [sample_rng(4, i)], antiholomorphic=True)
+            assert np.array_equal(batch[i], one[0])
+            oracle = oracle_random_frame(model, want, sample_rng(4, i), antiholomorphic=True)
+            assert np.array_equal(batch[i], oracle)
+
+    def test_unrealizable_signs_are_unsupported(self, m22):
+        with pytest.raises(UnsupportedSignature, match=r"signature \(1, 1, 1\) in \(2,2\)"):
+            random_frames(m22, (1, 1, 1), [sample_rng(0, 0)])
+
+
 class TestSignatureTable:
     def test_without_j_only_for_kinds_that_need_it(self):
         riemannian = ModelPoint(4, 0)
@@ -348,7 +398,7 @@ class TestSeededSamplers:
         # drawn from the sample's generator
         batch = sample_planes(h44, PlaneKind.ISOTROPIC_HOLOMORPHIC, 5, seed=6)
         for i, p in enumerate(batch):
-            x, a = random_frame(h44, (1, -1), sample_rng(6, i), antiholomorphic=True)
+            x, a = random_frames(h44, (1, -1), [sample_rng(6, i)], antiholomorphic=True)[0]
             assert np.array_equal(p.x, x + a) and np.array_equal(p.y, h44.cplx @ (x + a))
 
     def test_least_signature_comes_from_the_signs(self):
@@ -359,7 +409,7 @@ class TestSeededSamplers:
             (0, 4), (2, 2), (4, 0))
 
     def test_random_frame_signs(self, h44):
-        frame = random_frame(h44, (1, -1, -1), sample_rng(0, 0), antiholomorphic=True)
+        frame = random_frames(h44, (1, -1, -1), [sample_rng(0, 0)], antiholomorphic=True)[0]
         G = np.array([[inner(h44, u, v) for v in frame] for u in frame])
         assert np.allclose(G, np.diag([1.0, -1.0, -1.0]), atol=1e-12)
 
