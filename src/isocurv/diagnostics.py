@@ -73,20 +73,28 @@ class UniquenessKind(Enum):
 @dataclass
 class DiagReport:
     max_residual: float
-    witness: object  # Plane/Frame/ndarray, present iff verdict is False
+    # Plane/Frame/ndarray where the worst failing sampled side peaks; None when
+    # the verdict is consistent or no sampled side fails
+    witness: object
     samples_used: int
     verdict: bool
     side_notes: list = field(default_factory=list)
 
 
-def _worst_plane(model: ModelPoint, R, kind: PlaneKind, count: int, seed: int,
-                     scale: float):
-    """Max of |R(u,v,v,u)| / scale over sampled planes of the given kind, and
-    a function that builds the plane where it is reached."""
+def _sampled(name: str, values: np.ndarray, scale: float, build: Callable) -> tuple:
+    """One sampled side: (name, max |values| / scale, witness builder).
+    `values` has shape (k,) or (k, j); the builder is `build` bound to the
+    index of the maximum, and ties go to the earliest sample."""
+    res = np.abs(values) / scale
+    at = np.unravel_index(int(np.argmax(res)), res.shape)
+    return name, float(res[at]), partial(build, *map(int, at))
+
+
+def _kind_side(model: ModelPoint, R, kind: PlaneKind, count: int, seed: int, scale: float):
+    """The sampled side |R(u,v,v,u)| over planes of the given kind."""
     planes = sample_planes(model, kind, count, seed)
-    res = np.abs(quad_eval_batch(R, planes.U, planes.V, planes.V, planes.U)) / scale
-    k = int(np.argmax(res))
-    return float(res[k]), lambda: planes[k]
+    values = quad_eval_batch(R, planes.U, planes.V, planes.V, planes.U)
+    return _sampled(kind.value.replace("-", " ") + " vanishing", values, scale, planes.__getitem__)
 
 
 def vanishing_report(model: ModelPoint, R, kind: PlaneKind, count: int = 200,
@@ -94,7 +102,7 @@ def vanishing_report(model: ModelPoint, R, kind: PlaneKind, count: int = 200,
     """Max of |R(u,v,v,u)| over sampled planes of the given kind, scaled."""
     tol = as_tolerance(tol)
     R = check_quad(model, R)
-    worst, witness = _worst_plane(model, R, kind, count, seed, residual_scale(R))
+    _, worst, witness = _kind_side(model, R, kind, count, seed, residual_scale(R))
     verdict = worst <= tol.rel
     return DiagReport(worst, None if verdict else witness(), count, verdict)
 
@@ -197,46 +205,39 @@ def flatness_norms(model: ModelPoint, R) -> FlatnessNorms:
 # ---------------------------------------------------------------------------
 
 
-def _consistency_report(sides, tol: Tolerance, count: int, witness=None,
-                        value_prefix: str = "residual ") -> DiagReport:
-    """sides: list of (name, scaled_residual). Verdict: all agree.  `witness`
-    is a function that builds the witness; it is called only when the
-    verdict is inconsistent."""
-    passes = [r <= tol.rel for _, r in sides]
+def _consistency_report(sides, tol: Tolerance, count: int) -> DiagReport:
+    """sides: list of (name, scaled residual, witness builder or None).
+    Verdict: all agree.  An inconsistent verdict carries the witness of the
+    worst failing side that has a builder, or None if no such side fails."""
+    passes = [r <= tol.rel for _, r, _ in sides]
     verdict = all(passes) or not any(passes)
-    notes = [f"{name}: {value_prefix}{r:.3e} -> {'pass' if ok else 'fail'}"
-             for (name, r), ok in zip(sides, passes)]
-    worst = max(r for _, r in sides)
-    return DiagReport(worst, None if verdict or witness is None else witness(), count,
-                      verdict, notes)
+    notes = [f"{name}: residual {r:.3e} -> {'pass' if ok else 'fail'}"
+             for (name, r, _), ok in zip(sides, passes)]
+    failing = [(r, build) for (_, r, build), ok in zip(sides, passes)
+               if build is not None and not ok]
+    witness = None if verdict or not failing else max(failing, key=lambda f: f[0])[1]()
+    return DiagReport(max(r for _, r, _ in sides), witness, count, verdict, notes)
 
 
-def _vanishing_side(kind: PlaneKind) -> str:
-    return kind.value.replace("-", " ") + " vanishing"
-
-
-def _quadruple_sides(model, R, count, seed, tol, scale):
+def _quadruple_sides(model, R, count, seed, scale):
     """Theorem 2: R(x,y,a,b) and the sectional-curvature relation on (+,+,-,-)
-    quadruples; the witness is the quadruple worst on either."""
+    quadruples."""
     quads = sample_planes(model, PlaneKind.QUADRUPLE_PPMM, count, seed)
     X, Y, A, B = quads.vectors.transpose(1, 0, 2)
 
     def kval(U, V, sign):
         return sign * quad_eval_batch(R, U, V, V, U)
 
-    v2 = np.abs(quad_eval_batch(R, X, Y, A, B)) / scale
-    v3 = np.abs(kval(X, Y, 1) + kval(A, B, 1) - kval(X, A, -1) - kval(Y, B, -1)) / scale
-    sides = [("quadruple component vanishing", float(np.max(v2))),
-             ("sectional curvature relation", float(np.max(v3)))]
-    return sides, lambda: quads[int(np.argmax(np.maximum(v2, v3)))]
+    relation = kval(X, Y, 1) + kval(A, B, 1) - kval(X, A, -1) - kval(Y, B, -1)
+    return [_sampled("quadruple component vanishing", quad_eval_batch(R, X, Y, A, B), scale,
+                     quads.__getitem__),
+            _sampled("sectional curvature relation", relation, scale, quads.__getitem__)]
 
 
-def _antiholomorphic_spread_sides(model, R, count, seed, tol, scale):
+def _antiholomorphic_spread_sides(model, R, count, seed, scale):
     """Theorem 5: weakly isotropic antiholomorphic vanishing against the
-    spread of sectional curvatures over nondegenerate antiholomorphic planes;
-    the witness is the worst sampled plane when the vanishing side fails."""
-    kind = PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC
-    hyp, witness = _worst_plane(model, R, kind, count, seed, scale)
+    spread of sectional curvatures over nondegenerate antiholomorphic planes."""
+    hyp = _kind_side(model, R, PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC, count, seed, scale)
     planes = sample_planes(model, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, count, seed)
     U, V = planes.U, planes.V
     g = model.metric
@@ -244,8 +245,19 @@ def _antiholomorphic_spread_sides(model, R, count, seed, tol, scale):
             - np.einsum("ki,ij,kj->k", U, g, V) ** 2)
     ks = quad_eval_batch(R, U, V, V, U) / disc
     spread = float(np.max(ks) - np.min(ks)) / scale
-    return [(_vanishing_side(kind), hyp),
-            ("antiholomorphic curvature spread", spread)], witness if hyp > tol.rel else None
+    return [hyp, ("antiholomorphic curvature spread", spread, None)]
+
+
+def _einstein_sides(model, R, count, seed, scale):
+    """Sampled |rho(xi,xi)| on isotropic xi against the Einstein residual
+    |rho - (tau/m) g|, both scaled by max(1, |rho|_max) in place of `scale`."""
+    XI = isotropic_vectors(model, count, seed)
+    rho = ricci(model, R)
+    tau = trace_g(model, rho)
+    scale = max(1.0, max_norm(rho))
+    values = np.einsum("ki,ij,kj->k", XI, rho, XI)
+    return [_sampled("sampled max |rho(xi,xi)|", values, scale, XI.__getitem__),
+            ("Einstein residual", max_norm(rho - (tau / model.dim) * model.metric) / scale, None)]
 
 
 @dataclass(frozen=True)
@@ -253,12 +265,11 @@ class TheoremSpec:
     """One equivalence.  It holds where every sampled kind exists and the
     ``needs`` row, if any, fits.  Each kind gives one vanishing side unless
     ``sides`` replaces them; ``exact`` names the ``_ExactNorms`` attribute
-    of the exact side; ``report`` replaces the whole check."""
+    of the exact side."""
 
     kinds: tuple = ()
     exact: str = None
-    sides: Callable = None   # (model, R, count, seed, tol, scale) -> (sides, witness fn)
-    report: Callable = None  # (model, R, count, seed, tol) -> DiagReport
+    sides: Callable = None  # (model, R, count, seed, scale) -> list of sides
     needs: Signature = None
 
     @cached_property
@@ -276,8 +287,7 @@ THEOREMS = {
     TheoremId.THM_2_QUADRUPLES:
         TheoremSpec((PlaneKind.QUADRUPLE_PPMM,), exact="conformal", sides=_quadruple_sides),
     TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI:
-        # einstein_check is looked up when called, so a wrapped one is honored
-        TheoremSpec(report=lambda *args: einstein_check(*args), needs=PLUS_MINUS_PAIR),
+        TheoremSpec(sides=_einstein_sides, needs=PLUS_MINUS_PAIR),
     TheoremId.THM_5_WEAK_ISO_ANTIHOL:
         TheoremSpec((PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC,
                      PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC),
@@ -308,37 +318,21 @@ def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 
     spec = THEOREMS[theorem_id]
     for what, row in spec.signatures:
         row.require(model, f"{theorem_id.value}: {what}")
-    if spec.report is not None:
-        return spec.report(model, R, count, seed, tol)
-
     if spec.sides is not None:
-        sides, witness = spec.sides(model, R, count, seed, tol, scale)
+        sides = spec.sides(model, R, count, seed, scale)
     else:
-        found = [_worst_plane(model, R, kind, count, seed, scale) for kind in spec.kinds]
-        sides = [(_vanishing_side(kind), worst) for kind, (worst, _) in zip(spec.kinds, found)]
-        witness = next((fn for worst, fn in found if worst > tol.rel), None)
+        sides = [_kind_side(model, R, kind, count, seed, scale) for kind in spec.kinds]
     if spec.exact is not None:
         exact = _ExactNorms(model, R, scale) if _exact is None else _exact
-        sides.append((_ExactNorms.SIDE_NAMES[spec.exact], getattr(exact, spec.exact)))
-    return _consistency_report(sides, tol, count, witness)
+        sides.append((_ExactNorms.SIDE_NAMES[spec.exact], getattr(exact, spec.exact), None))
+    return _consistency_report(sides, tol, count)
 
 
 def einstein_check(model: ModelPoint, R, count: int = 200, seed: int = 0,
                    tol=Tolerance()) -> DiagReport:
     """Sampled |rho(xi,xi)| on isotropic xi versus the Einstein residual
     |rho - (tau/m) g|; verdict: the two are small together or large together."""
-    tol = as_tolerance(tol)
-    R = check_quad(model, R)
-    residual_scale(R)  # rejects a non-finite R
-    XI = isotropic_vectors(model, count, seed)
-    rho = ricci(model, R)
-    tau = trace_g(model, rho)
-    scale = max(1.0, max_norm(rho))
-    vals = np.abs(np.einsum("ki,ij,kj->k", XI, rho, XI)) / scale
-    k = int(np.argmax(vals))
-    einstein_res = max_norm(rho - (tau / model.dim) * model.metric) / scale
-    sides = [("sampled max |rho(xi,xi)|", float(vals[k])), ("Einstein residual", einstein_res)]
-    return _consistency_report(sides, tol, count, lambda: XI[k], value_prefix="")
+    return equivalence_check(model, R, TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI, count, seed, tol)
 
 
 # where the sampled pairs exist: (+,-) for B, antiholomorphic for C, both for Lemma 1
@@ -366,11 +360,9 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
         Z = np.stack([rng.uniform(-1.0, 1.0, model.dim) for rng in rngs])
         Z = (Z - inner_rows(model, Z, X)[:, None] * (X / inner_rows(model, X, X)[:, None])
              - inner_rows(model, Z, Y)[:, None] * (Y / inner_rows(model, Y, Y)[:, None]))
-        res = np.abs(quad_eval_batch(T, X, Y, Z, X)) / scale
-        k = int(np.argmax(res))
-        witness = partial(Frame, np.stack([X[k], Y[k], Z[k]]), (1, -1, 0))
-        sides = [("sampled hypothesis residual", float(res[k])),
-                 ("constant-curvature residual", _ExactNorms(model, T, scale).const_curv)]
+        sides = [_sampled("sampled hypothesis residual", quad_eval_batch(T, X, Y, Z, X), scale,
+                          lambda k: Frame(np.stack([X[k], Y[k], Z[k]]), (1, -1, 0))),
+                 ("constant-curvature residual", _ExactNorms(model, T, scale).const_curv, None)]
     else:
         J = model.cplx
         if kind is UniquenessKind.LEMMA_1:
@@ -381,15 +373,13 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
                              antiholomorphic=True).transpose(1, 0, 2)
         JX, JU = X @ J.T, U @ J.T
         # per sample: R(x,Jx,Jx,x) on the holomorphic plane, then R(u,v,v,u)
-        # and R(u,Ju,v,u) on the antiholomorphic one; ties go to the earliest
-        res = np.abs(np.stack([quad_eval_batch(T, X, JX, JX, X),
-                               quad_eval_batch(T, U, V, V, U),
-                               quad_eval_batch(T, U, JU, V, U)], axis=1)) / scale
-        k, j = divmod(int(np.argmax(res)), 3)
-        witness = partial(Plane, X[k], JX[k]) if j == 0 else partial(Plane, U[k], V[k])
-        sides = [("sampled hypothesis residual", float(res[k, j])),
-                 ("tensor norm", max_norm(T) / scale)]
-    return _consistency_report(sides, tol, count, witness, value_prefix="")
+        # and R(u,Ju,v,u) on the antiholomorphic one
+        values = np.stack([quad_eval_batch(T, X, JX, JX, X), quad_eval_batch(T, U, V, V, U),
+                           quad_eval_batch(T, U, JU, V, U)], axis=1)
+        sides = [_sampled("sampled hypothesis residual", values, scale,
+                          lambda k, j: Plane(X[k], JX[k]) if j == 0 else Plane(U[k], V[k])),
+                 ("tensor norm", max_norm(T) / scale, None)]
+    return _consistency_report(sides, tol, count)
 
 
 # ---------------------------------------------------------------------------

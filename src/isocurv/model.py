@@ -77,14 +77,16 @@ def as_tolerance(tol) -> Tolerance:
     return tol if isinstance(tol, Tolerance) else Tolerance(float(tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelPoint:
     """A tangent-space model: dimension, index, metric, optional J.
 
-    The constructor checks the metric (symmetric, nondegenerate) and the
-    shapes of J; the J axioms themselves (J^2 = -id, g-compatibility) are
-    checked by :func:`validate_complex_structure` so that deliberately
-    broken structures can still be inspected.
+    Two models are equal, and hash alike, when their dimension, index and
+    the bytes of their metric and J are.  The constructor checks the metric
+    (finite, symmetric, nondegenerate) and J (finite, of the right shape);
+    the J axioms themselves (J^2 = -id, g-compatibility) are checked by
+    :func:`validate_complex_structure` so that deliberately broken
+    structures can still be inspected.
     """
 
     dim: int
@@ -117,8 +119,21 @@ class ModelPoint:
             J = np.array(self.cplx, dtype=float)
             if J.shape != (self.dim, self.dim):
                 raise InvalidModel("J shape does not match dimension")
+            if not np.all(np.isfinite(J)):
+                raise InvalidModel("J must be finite")
             J.setflags(write=False)
             object.__setattr__(self, "cplx", J)
+
+    @cached_property
+    def _key(self) -> tuple:
+        return (self.dim, self.index, self.metric.tobytes(),
+                None if self.cplx is None else self.cplx.tobytes())
+
+    def __eq__(self, other):
+        return self._key == other._key if isinstance(other, ModelPoint) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
 
     @cached_property
     def metric_inv(self) -> np.ndarray:

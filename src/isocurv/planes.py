@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class Holomorphy(Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plane:
     """A 2-plane given by an (unnormalized) basis pair of finite vectors."""
 
@@ -81,7 +81,7 @@ class Plane:
         return np.array([[gxx, gxy], [gxy, gyy]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """An ordered orthonormal vector list with +/-1 sign labels."""
 
@@ -351,61 +351,38 @@ def random_frames(model, signs, rngs, antiholomorphic=False) -> np.ndarray:
     return frames
 
 
-_SAMPLE_CACHE: dict = {}
-_SAMPLE_CACHE_LIMIT = 64
-
-
-def _memoized(model: ModelPoint, what, count: int, seed: int, build):
-    """``build()``, memoized per (model, what, count, seed) in one bounded cache."""
-    key = (model.dim, model.index, model.metric.tobytes(),
-           model.cplx.tobytes() if model.has_cplx else None, what, count, seed)
-    hit = _SAMPLE_CACHE.get(key)
-    if hit is None:
-        hit = build()
-        if len(_SAMPLE_CACHE) >= _SAMPLE_CACHE_LIMIT:
-            _SAMPLE_CACHE.clear()
-        _SAMPLE_CACHE[key] = hit
-    return hit
-
-
 def check_count(count: int) -> None:
     """Reject a sample count below one."""
     if count < 1:
         raise InvalidSampleCount(f"need at least one sample, got {count}")
 
 
+@lru_cache(maxsize=32)
 def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0) -> PlaneBatch:
     """Deterministic batch of `count` planes/frames of the given kind.
 
-    Results are memoized per (model, kind, count, seed); a repeated call
-    returns the same immutable PlaneBatch.
+    The 32 most recent batches are cached by their arguments (models
+    compare by value); a repeated call returns the same immutable PlaneBatch.
     """
     check_count(count)
-
-    def build():
-        row = SIGNATURES[kind]
-        options = row.require(model, f"kind {kind.value}")
-        rngs = [sample_rng(seed, i) for i in range(count)]
-        frames = random_frames(model, row.pick(options, rngs), rngs, antiholomorphic=row.needs_j)
-        vectors = np.stack([frames[:, list(rows)].sum(axis=1) for rows in row.rows], axis=1)
-        if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
-            vectors = np.stack([vectors[:, 0], _j_images(model.cplx, vectors[:, 0])], axis=1)
-        quadruple = kind in (PlaneKind.QUADRUPLE_PPMM, PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM)
-        return PlaneBatch(vectors, _QUADRUPLE_SIGNS if quadruple else None)
-
-    return _memoized(model, kind, count, seed, build)
+    row = SIGNATURES[kind]
+    options = row.require(model, f"kind {kind.value}")
+    rngs = [sample_rng(seed, i) for i in range(count)]
+    frames = random_frames(model, row.pick(options, rngs), rngs, antiholomorphic=row.needs_j)
+    vectors = np.stack([frames[:, list(rows)].sum(axis=1) for rows in row.rows], axis=1)
+    if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
+        vectors = np.stack([vectors[:, 0], _j_images(model.cplx, vectors[:, 0])], axis=1)
+    quadruple = kind in (PlaneKind.QUADRUPLE_PPMM, PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM)
+    return PlaneBatch(vectors, _QUADRUPLE_SIGNS if quadruple else None)
 
 
+@lru_cache(maxsize=32)
 def isotropic_vectors(model: ModelPoint, count: int, seed: int = 0) -> np.ndarray:
     """Read-only (count, m) array of seeded isotropic vectors x + a, each from a
-    (+,-) orthonormal pair; memoized like ``sample_planes``."""
+    (+,-) orthonormal pair; cached like ``sample_planes``."""
     check_count(count)
-
-    def build():
-        (signs,) = PLUS_MINUS_PAIR.require(model, "isotropic vectors")
-        rngs = [sample_rng(seed, i) for i in range(count)]
-        vectors = random_frames(model, signs, rngs).sum(axis=1)  # x + a
-        vectors.setflags(write=False)
-        return vectors
-
-    return _memoized(model, "isotropic", count, seed, build)
+    (signs,) = PLUS_MINUS_PAIR.require(model, "isotropic vectors")
+    rngs = [sample_rng(seed, i) for i in range(count)]
+    vectors = random_frames(model, signs, rngs).sum(axis=1)  # x + a
+    vectors.setflags(write=False)
+    return vectors

@@ -31,7 +31,7 @@ from isocurv.errors import (
     NonFiniteTensor,
     UnsupportedSignature,
 )
-from isocurv.tensors import max_norm
+from isocurv.tensors import max_norm, ricci
 
 from conftest import random_symmetric
 
@@ -187,6 +187,37 @@ class TestWitnesses:
                 assert not rep.verdict
                 assert np.array_equal(rep.witness.x, want.x)
                 assert np.array_equal(rep.witness.y, want.y)
+
+    def test_einstein_and_uniqueness_witnesses_replay(self, h44):
+        # at tol 2 the sampled side of each check fails and the exact side passes
+        R, tol = random_curvature_like(h44, 0), 2.0
+        rep = einstein_check(h44, R, 20, 0, tol)
+        rho = ricci(h44, R)
+        replay = abs(rep.witness @ rho @ rep.witness) / max(1.0, max_norm(rho))
+        assert not rep.verdict and replay == pytest.approx(rep.max_residual, rel=1e-12)
+        scale, J = max(1.0, max_norm(R)), h44.cplx
+        rep = uniqueness_check(h44, UniquenessKind.THM_B, R, 20, 0, tol)
+        x, y, z = rep.witness.vectors
+        assert not rep.verdict
+        assert abs(quad_eval(R, x, y, z, x)) / scale == pytest.approx(rep.max_residual, rel=1e-12)
+        for kind in (UniquenessKind.THM_C, UniquenessKind.LEMMA_1):
+            rep = uniqueness_check(h44, kind, R, 20, 0, tol)
+            x, y = rep.witness.x, rep.witness.y
+            # (x, Jx) on a holomorphic witness, R(u,v,v,u) and R(u,Ju,v,u) on an antiholomorphic one
+            replay = max(abs(quad_eval(R, x, y, y, x)), abs(quad_eval(R, x, J @ x, y, x))) / scale
+            assert not rep.verdict and replay == pytest.approx(rep.max_residual, rel=1e-12)
+
+    def test_exact_only_failure_has_no_witness(self, m22):
+        def R(seed):
+            return random_curvature_like(m22, seed)
+
+        for rep in (einstein_check(m22, R(1), 1, seed=1, tol=0.1),
+                    uniqueness_check(m22, UniquenessKind.THM_B, R(0), 1, seed=0, tol=0.48065),
+                    equivalence_check(m22, R(14), TheoremId.THM_2_QUADRUPLES, 1, seed=14,
+                                      tol=0.44785)):
+            assert not rep.verdict and rep.witness is None
+            assert rep.side_notes[-1].endswith("fail")
+            assert all(n.endswith("pass") for n in rep.side_notes[:-1])
 
 
 class TestEquivalence:

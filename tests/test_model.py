@@ -11,6 +11,7 @@ from isocurv import (
     validate_complex_structure,
 )
 from isocurv.errors import DimensionMismatch, InvalidModel, InvalidTolerance
+from isocurv.planes import PlaneKind, isotropic_vectors, sample_planes
 
 
 def test_inner_timelike_direction():
@@ -121,3 +122,28 @@ def test_small_scaled_metric_is_nondegenerate():
 def test_singular_metric_rejected(g):
     with pytest.raises(InvalidModel):
         ModelPoint(len(g), 0, metric=g)
+
+
+def test_models_compare_and_hash_by_value():
+    a, b = hermitian_model(8, 4), hermitian_model(8, 4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert sample_planes(a, PlaneKind.WEAKLY_ISOTROPIC, 5, 0) is sample_planes(
+        b, PlaneKind.WEAKLY_ISOTROPIC, 5, 0)
+    assert isotropic_vectors(a, 5, 0) is isotropic_vectors(b, 5, 0)
+
+
+def test_models_differing_in_j_or_metric_are_unequal():
+    a = hermitian_model(4, 2)
+    g = np.diag([-2.0, -2.0, 1.0, 1.0])
+    assert a != ModelPoint(4, 2, cplx=-a.cplx)
+    assert a != ModelPoint(4, 2)
+    assert a != ModelPoint(4, 2, metric=g, cplx=a.cplx)
+    assert ModelPoint(4, 2) != ModelPoint(4, 1) and ModelPoint(4, 2) != "ModelPoint(4, 2)"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_j_rejected(value):
+    J = standard_complex_structure(8, 4)
+    J[0, 1] = value
+    with pytest.raises(InvalidModel, match="J must be finite"):
+        ModelPoint(8, 4, cplx=J)

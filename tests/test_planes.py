@@ -293,6 +293,12 @@ class TestPlaneBatch:
             assert isinstance(fr, Frame) and fr.signs == (1, 1, -1, -1)
             assert np.array_equal(fr.vectors, batch.vectors[i])
 
+    def test_planes_and_frames_compare_by_identity(self, h44):
+        # == on array fields would raise; these compare like PlaneBatch
+        for item in (sample_planes(h44, PlaneKind.WEAKLY_ISOTROPIC, 1)[0],
+                     sample_planes(h44, PlaneKind.QUADRUPLE_PPMM, 1)[0]):
+            assert item == item and item != type(item)(*vars(item).values())
+
     def test_cache_hit_is_same_object(self, m22):
         a = sample_planes(m22, PlaneKind.STRONGLY_ISOTROPIC, 12, seed=21)
         assert sample_planes(m22, PlaneKind.STRONGLY_ISOTROPIC, 12, seed=21) is a
