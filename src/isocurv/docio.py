@@ -2,8 +2,12 @@
 
 Layout: {"dim": m, "index": s, "metric": [[...]]?, "J": [[...]]?,
 "tensors": {"name": [m^4 floats, row-major over (i,j,k,l)]}, "meta": {...}}.
-Floats are written with Python's shortest round-trip repr (at most 17
-significant digits), so write-then-read is bit-exact.
+A document is written as compact JSON with sorted keys on one line, ending
+in a newline; any other whitespace, such as the indented layout of older
+documents, loads the same.  Floats are written with Python's shortest
+round-trip repr (at most 17 significant digits), so write-then-read is
+bit-exact.  Saving a tensor with a NaN or infinite component raises
+NonFiniteTensor and writes nothing: JSON has no such numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDocument
+from .errors import InvalidDocument, NonFiniteTensor
 from .model import ModelPoint, validate_complex_structure
 
 
@@ -30,6 +34,9 @@ class TensorDocument:
 
 
 def save_document(doc: TensorDocument, path) -> None:
+    for name, T in doc.tensors.items():
+        if not np.all(np.isfinite(T)):
+            raise NonFiniteTensor(f"tensor {name!r} has NaN or infinite components")
     m = doc.model
     obj = {
         "dim": m.dim,
@@ -41,9 +48,9 @@ def save_document(doc: TensorDocument, path) -> None:
     }
     if m.has_cplx:
         obj["J"] = m.cplx.tolist()
+    text = json.dumps(obj, sort_keys=True) + "\n"  # one-shot, no indent: the C encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _only_numbers(value) -> bool:

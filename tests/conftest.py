@@ -4,6 +4,8 @@ The oracle functions here deliberately use explicit basis loops instead of
 einsum so they stay independent of the library's contraction paths.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,28 @@ def non_diagonal_model(m, index, seed=0):
     A = np.eye(m) + 0.3 * rng.uniform(-1.0, 1.0, (m, m))
     eps = np.r_[-np.ones(index), np.ones(m - index)]
     return ModelPoint(m, index, metric=A.T @ np.diag(eps) @ A)
+
+
+def document_object(doc):
+    """The JSON object that ``save_document`` writes for `doc`."""
+    model = doc.model
+    obj = {"dim": model.dim, "index": model.index, "metric": model.metric.tolist(),
+           "tensors": {name: np.asarray(T).reshape(-1).tolist() for name, T in doc.tensors.items()},
+           "meta": doc.meta}
+    if model.has_cplx:
+        obj["J"] = model.cplx.tolist()
+    return obj
+
+
+def write_indented_document(doc, path):
+    """Write `doc` in the indented layout of older tensor documents,
+    ``json.dump(obj, fh, indent=2, sort_keys=True)``.  Unlike
+    ``save_document`` it writes NaN and infinite components as bare ``NaN``
+    / ``Infinity`` tokens, which is how such malformed files reach
+    ``load_document``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document_object(doc), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def random_symmetric(rng, m):

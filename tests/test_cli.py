@@ -17,6 +17,8 @@ from isocurv import (
 from isocurv.cli import main
 from isocurv.diagnostics import random_curvature_like
 
+from conftest import write_indented_document
+
 
 def run(*argv):
     return main(list(argv))
@@ -73,6 +75,22 @@ class TestGen:
         run("gen", "conf-flat", "--dim", "4", "--index", "2", "--seed", "3",
             "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ("space-form", "--n", "2", "--s", "1", "--mu", "nan", "--nu", "1"),
+        ("const-curv", "--dim", "4", "--index", "2", "--c", "inf"),
+    ], ids=["space-form-nan", "const-curv-inf"])
+    def test_non_finite_tensor_is_usage_error_and_writes_nothing(self, tmp_path, capsys, argv):
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_text("old contents\n")
+        for out in (fresh, kept):
+            with np.errstate(invalid="ignore"):
+                assert run("gen", *argv, "--out", str(out)) == 2
+            captured = capsys.readouterr()
+            assert "NaN or infinite" in captured.err and "Traceback" not in captured.err
+            assert captured.out == ""
+        assert not fresh.exists()
+        assert kept.read_text() == "old contents\n"
 
 
 class TestClassify:
@@ -339,7 +357,7 @@ class TestNonFiniteTensor:
         R = build_space_form(model, 0.5, 2.0)
         R[0, 2, 2, 0] = value
         doc_path = tmp_path / "bad.json"
-        save_document(TensorDocument(model, {"R": R}), doc_path)
+        write_indented_document(TensorDocument(model, {"R": R}), doc_path)
         assert run(argv[0], str(doc_path), "--tensor", "R", *argv[1:]) == 2
         assert "NaN or infinite" in capsys.readouterr().err
 
@@ -476,7 +494,7 @@ class TestDocumentIO:
         T = np.zeros((4,) * 4)
         T[0, 1, 1, 0] = value
         path = tmp_path / "bad.json"
-        save_document(TensorDocument(model, {"T": T}), path)
+        write_indented_document(TensorDocument(model, {"T": T}), path)
         from isocurv.errors import InvalidDocument
 
         with pytest.raises(InvalidDocument, match="NaN or infinite"):
