@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, HybridConditionViolated, IsocurvError
+from .errors import DimensionMismatch, HybridConditionViolated, IsocurvError, NonFiniteTensor
 from .model import ModelPoint, Tolerance, as_tolerance
 from .planes import PLUS_MINUS_PAIR, check_count, random_frames, sample_rng
 from .tensors import (
@@ -193,8 +193,16 @@ def bochner(model: ModelPoint, R, details: bool = False):
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(**params) -> None:
+    """NonFiniteTensor naming the first parameter with a NaN or infinite value."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise NonFiniteTensor(f"{name} has a NaN or infinite value")
+
+
 def build_constant_curvature(model: ModelPoint, c: float) -> np.ndarray:
     """Constant sectional curvature model: c * pi1."""
+    _check_finite(c=c)
     return c * pi1(model)
 
 
@@ -205,6 +213,7 @@ def build_conformally_flat(model: ModelPoint, S) -> np.ndarray:
     if m <= 3:
         raise DimensionMismatch("needs dimension > 3")
     S = np.asarray(S, dtype=float)
+    _check_finite(S=S)
     if not is_symmetric(S):
         raise IsocurvError("S must be symmetric")
     return _phi_raw(model.metric, S) / (m - 2) - trace_g(model, S) * pi1(model) / ((m - 1) * (m - 2))
@@ -213,6 +222,7 @@ def build_conformally_flat(model: ModelPoint, S) -> np.ndarray:
 def build_space_form(model: ModelPoint, nu: float, mu: float) -> np.ndarray:
     """Constant holomorphic curvature mu, antiholomorphic curvature nu:
     R = nu pi1 + (mu - nu)/3 pi2.  nu = mu/4 gives the Kaehler space form."""
+    _check_finite(nu=nu, mu=mu)
     return nu * pi1(model) + ((mu - nu) / 3.0) * pi2(model)
 
 
@@ -266,7 +276,8 @@ def theorem6_identities(model: ModelPoint, R, samples: int = 100, seed: int = 0,
     m = model.dim
     if m % 2 or m < 6:
         raise DimensionMismatch("needs even dimension >= 6")
-    PLUS_MINUS_PAIR.require(model, "the mixed-pair identity")
+    what = "the mixed-pair identity"
+    PLUS_MINUS_PAIR.require(model, what)
     scale = residual_scale(R)
     check_count(samples)
     n = m // 2
@@ -278,7 +289,7 @@ def theorem6_identities(model: ModelPoint, R, samples: int = 100, seed: int = 0,
     # per sample: a spacelike unit x, then a (+,-) orthonormal pair (y, b)
     rngs = [sample_rng(seed, i) for i in range(samples)]
     X = random_frames(model, (1,), rngs)[:, 0]
-    Y, B = random_frames(model, (1, -1), rngs).transpose(1, 0, 2)
+    Y, B = PLUS_MINUS_PAIR.draw(model, rngs, what).transpose(1, 0, 2)
     E = np.eye(m)
     JE, JX, JY, JB = (A @ J.T for A in (E, X, Y, B))
 

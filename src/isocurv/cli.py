@@ -23,7 +23,7 @@ from .canonical import (
 )
 from .diagnostics import THEOREMS, TheoremId, equivalence_check, flatness_norms, fuzz
 from .docio import TensorDocument, load_document, save_document
-from .errors import IsocurvError
+from .errors import IsocurvError, NonFiniteTensor
 from .model import ModelPoint, Tolerance, hermitian_model
 from .planes import (
     Frame,
@@ -71,14 +71,16 @@ def cmd_gen(args) -> int:
     name = args.name
     if args.kind == "const-curv":
         if args.dim is None or args.index is None or args.c is None:
-            raise SystemExit("gen const-curv needs --dim, --index and --c")
+            raise IsocurvError("gen const-curv needs --dim, --index and --c")
         model = ModelPoint(args.dim, args.index)
         tensor = build_constant_curvature(model, args.c)
     elif args.kind == "conf-flat":
         if args.dim is None or args.index is None:
-            raise SystemExit("gen conf-flat needs --dim and --index")
+            raise IsocurvError("gen conf-flat needs --dim and --index")
         model = ModelPoint(args.dim, args.index)
         if args.lam is not None:
+            if not np.isfinite(args.lam):
+                raise NonFiniteTensor("--lam has a NaN or infinite value")
             S = args.lam * model.metric
         else:
             rng = np.random.default_rng(args.seed)
@@ -90,10 +92,10 @@ def cmd_gen(args) -> int:
             dim, index = 2 * args.n, 2 * (args.s or 0)
         else:
             if args.dim is None or args.index is None:
-                raise SystemExit("gen space-form needs --n/--s or --dim/--index")
+                raise IsocurvError("gen space-form needs --n/--s or --dim/--index")
             dim, index = args.dim, args.index
         if args.mu is None or args.nu is None:
-            raise SystemExit("gen space-form needs --mu and --nu")
+            raise IsocurvError("gen space-form needs --mu and --nu")
         model = hermitian_model(dim, index)
         tensor = build_space_form(model, args.nu, args.mu)
 
@@ -253,11 +255,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(f"error: {exc.code}", file=sys.stderr)
-            return USAGE_ERROR
-        raise
     except IsocurvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -351,12 +351,12 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
     T = check_quad(model, T)
     scale = residual_scale(T)
     check_count(count)
-    row = _UNIQUENESS_SIGNATURES[kind]
-    options = row.require(model, f"{kind.value} sampling")
+    row, what = _UNIQUENESS_SIGNATURES[kind], f"{kind.value} sampling"
+    row.require(model, what)  # before Lemma 1 draws its x
 
     rngs = [sample_rng(seed, i) for i in range(count)]
     if kind is UniquenessKind.THM_B:
-        X, Y = random_frames(model, row.pick(options, rngs), rngs).transpose(1, 0, 2)
+        X, Y = row.draw(model, rngs, what).transpose(1, 0, 2)
         Z = np.stack([rng.uniform(-1.0, 1.0, model.dim) for rng in rngs])
         Z = (Z - inner_rows(model, Z, X)[:, None] * (X / inner_rows(model, X, X)[:, None])
              - inner_rows(model, Z, Y)[:, None] * (Y / inner_rows(model, Y, Y)[:, None]))
@@ -369,8 +369,7 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
             X = random_frames(model, (1,), rngs)[:, 0]
         else:
             X = np.stack([rng.uniform(-1.0, 1.0, model.dim) for rng in rngs])
-        U, V = random_frames(model, row.pick(options, rngs), rngs,
-                             antiholomorphic=True).transpose(1, 0, 2)
+        U, V = row.draw(model, rngs, what).transpose(1, 0, 2)
         JX, JU = X @ J.T, U @ J.T
         # per sample: R(x,Jx,Jx,x) on the holomorphic plane, then R(u,v,v,u)
         # and R(u,Ju,v,u) on the antiholomorphic one

@@ -35,7 +35,6 @@ from .model import ModelPoint, Tolerance, as_tolerance, inner, inner_rows
 from .tensors import check_quad, quad_eval
 
 _SEED_MASK = (1 << 63) - 1
-_QUADRUPLE_SIGNS = (1, 1, -1, -1)
 
 
 class PlaneKind(Enum):
@@ -243,10 +242,10 @@ def sectional_curvature(model: ModelPoint, R, p: Plane, tol=Tolerance()) -> floa
 @dataclass(frozen=True)
 class Signature:
     """Where a sampled construction exists: whether it needs J, and its frame
-    sign options in order of preference.  The sampler takes the first option
+    sign options in order of preference.  ``draw`` takes the first option
     that fits (see ``least``), or with ``pick_at_random`` draws one from
     each sample's generator.  For a plane kind, ``rows`` lists the frame rows
-    summed into each basis vector of the sample."""
+    summed into each basis vector of the sample (four: the sample is a frame)."""
 
     needs_j: bool
     options: tuple  # frame sign tuples
@@ -277,12 +276,14 @@ class Signature:
                 f"{what} impossible for signature ({model.index},{model.dim - model.index}){need}")
         return options
 
-    def pick(self, options: list, rngs: list):
-        """The ``signs`` of a ``random_frames`` call over `rngs`: the first
-        option, or with ``pick_at_random`` one drawn from each generator."""
-        if not self.pick_at_random:
-            return options[0]
-        return [options[rng.integers(len(options))] for rng in rngs]
+    def draw(self, model: ModelPoint, rngs: list, what: str) -> np.ndarray:
+        """``random_frames`` over `rngs` (antiholomorphic when the row needs J)
+        with the first fitting option, or with ``pick_at_random`` one drawn
+        from each generator; UnsupportedSignature naming `what` when none fits."""
+        options = self.require(model, what)
+        signs = ([options[rng.integers(len(options))] for rng in rngs] if self.pick_at_random
+                 else options[0])
+        return random_frames(model, signs, rngs, antiholomorphic=self.needs_j)
 
 
 # One row per plane kind.  x + a is isotropic for a (+,-) pair (x, a), so a
@@ -298,9 +299,9 @@ SIGNATURES = {
     PlaneKind.ISOTROPIC_HOLOMORPHIC: Signature(True, ((1, -1),), ((0, 1),)),
     PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC:
         Signature(True, ((1, 1), (1, -1), (-1, -1)), ((0,), (1,)), pick_at_random=True),
-    PlaneKind.QUADRUPLE_PPMM: Signature(False, (_QUADRUPLE_SIGNS,), ((0,), (1,), (2,), (3,))),
+    PlaneKind.QUADRUPLE_PPMM: Signature(False, ((1, 1, -1, -1),), ((0,), (1,), (2,), (3,))),
     PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM:
-        Signature(True, (_QUADRUPLE_SIGNS,), ((0,), (1,), (2,), (3,))),
+        Signature(True, ((1, 1, -1, -1),), ((0,), (1,), (2,), (3,))),
 }
 # a (+,-) orthonormal pair (x, a); x + a is isotropic
 PLUS_MINUS_PAIR = Signature(False, ((1, -1),))
@@ -366,14 +367,11 @@ def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0)
     """
     check_count(count)
     row = SIGNATURES[kind]
-    options = row.require(model, f"kind {kind.value}")
-    rngs = [sample_rng(seed, i) for i in range(count)]
-    frames = random_frames(model, row.pick(options, rngs), rngs, antiholomorphic=row.needs_j)
+    frames = row.draw(model, [sample_rng(seed, i) for i in range(count)], f"kind {kind.value}")
     vectors = np.stack([frames[:, list(rows)].sum(axis=1) for rows in row.rows], axis=1)
     if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
         vectors = np.stack([vectors[:, 0], _j_images(model.cplx, vectors[:, 0])], axis=1)
-    quadruple = kind in (PlaneKind.QUADRUPLE_PPMM, PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM)
-    return PlaneBatch(vectors, _QUADRUPLE_SIGNS if quadruple else None)
+    return PlaneBatch(vectors, row.options[0] if len(row.rows) == 4 else None)
 
 
 @lru_cache(maxsize=32)
@@ -381,8 +379,7 @@ def isotropic_vectors(model: ModelPoint, count: int, seed: int = 0) -> np.ndarra
     """Read-only (count, m) array of seeded isotropic vectors x + a, each from a
     (+,-) orthonormal pair; cached like ``sample_planes``."""
     check_count(count)
-    (signs,) = PLUS_MINUS_PAIR.require(model, "isotropic vectors")
     rngs = [sample_rng(seed, i) for i in range(count)]
-    vectors = random_frames(model, signs, rngs).sum(axis=1)  # x + a
+    vectors = PLUS_MINUS_PAIR.draw(model, rngs, "isotropic vectors").sum(axis=1)  # x + a
     vectors.setflags(write=False)
     return vectors

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,25 @@ class TestBuilders:
         mu = 2.0
         R = build_space_form(h24, mu / 4.0, mu)
         assert np.allclose(R, (mu / 4.0) * (pi1(h24) + pi2(h24)), atol=1e-12)
+
+    @staticmethod
+    def _form_with(value):
+        S = np.eye(8)
+        S[0, 1] = S[1, 0] = value
+        return S
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name, build", [
+        ("c", lambda M, v: build_constant_curvature(M, v)),
+        ("nu", lambda M, v: build_space_form(M, v, 1.0)),
+        ("mu", lambda M, v: build_space_form(M, 1.0, v)),
+        ("S", lambda M, v: build_conformally_flat(M, TestBuilders._form_with(v))),
+    ], ids=["c", "nu", "mu", "S"])
+    def test_non_finite_parameter_raises_before_any_arithmetic(self, h44, name, build, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(NonFiniteTensor, match=f"^{name} has a NaN or infinite value$"):
+                build(h44, value)
 
 
 class TestAntiholomorphicForm:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,38 @@ class TestGen:
             assert captured.out == ""
         assert not fresh.exists()
         assert kept.read_text() == "old contents\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("const-curv", "--dim", "4", "--index", "2", "--c", "inf"),
+        ("conf-flat", "--dim", "4", "--index", "2", "--lam", "inf"),
+        ("conf-flat", "--dim", "4", "--index", "2", "--lam", "nan"),
+        ("space-form", "--n", "2", "--s", "1", "--mu", "nan", "--nu", "1"),
+    ], ids=["c-inf", "lam-inf", "lam-nan", "mu-nan"])
+    def test_non_finite_parameter_is_rejected_before_any_arithmetic(self, tmp_path, capsys,
+                                                                     argv):
+        out = tmp_path / "x.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("gen", *argv, "--out", str(out)) == 2
+        assert caught == []  # no numpy RuntimeWarning reaches stderr
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "NaN or infinite" in line
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("const-curv", "--dim", "4"), "gen const-curv needs --dim, --index and --c"),
+        (("conf-flat", "--dim", "4"), "gen conf-flat needs --dim and --index"),
+        (("space-form", "--mu", "1", "--nu", "1"),
+         "gen space-form needs --n/--s or --dim/--index"),
+        (("space-form", "--n", "2", "--s", "1"), "gen space-form needs --mu and --nu"),
+    ], ids=["const-curv", "conf-flat", "space-form-shape", "space-form-curvatures"])
+    def test_missing_parameter_messages(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.json"
+        assert run("gen", *argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestClassify:

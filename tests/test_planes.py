@@ -27,7 +27,13 @@ from isocurv.errors import (
     NonFiniteTensor,
     UnsupportedSignature,
 )
-from isocurv.planes import SIGNATURES, isotropic_vectors, random_frames, sample_rng
+from isocurv.planes import (
+    PLUS_MINUS_PAIR,
+    SIGNATURES,
+    isotropic_vectors,
+    random_frames,
+    sample_rng,
+)
 from isocurv.tensors import max_norm
 
 from conftest import oracle_random_frame, pulled_back_hermitian
@@ -358,6 +364,29 @@ class TestLockstepFrames:
             assert np.array_equal(batch[i], one[0])
             oracle = oracle_random_frame(model, want, sample_rng(4, i), antiholomorphic=True)
             assert np.array_equal(batch[i], oracle)
+
+    @pytest.mark.parametrize("row", list(SIGNATURES.values()) + [PLUS_MINUS_PAIR],
+                             ids=[k.value for k in SIGNATURES] + ["plus-minus-pair"])
+    @pytest.mark.parametrize("model", [hermitian_model(8, 4), pulled_back_hermitian(8, 4)],
+                             ids=["h44", "pulled-back-h44"])
+    def test_draw_is_random_frames_with_the_oracle_pick(self, model, row):
+        rngs = [sample_rng(2, i) for i in range(25)]
+        options = row.fitting(model)
+        signs = [options[rng.integers(len(options))] if row.pick_at_random else options[0]
+                 for rng in rngs]
+        expected = random_frames(model, signs, rngs, antiholomorphic=row.needs_j)
+        got = row.draw(model, [sample_rng(2, i) for i in range(25)], "a test draw")
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("row", list(SIGNATURES.values()) + [PLUS_MINUS_PAIR],
+                             ids=[k.value for k in SIGNATURES] + ["plus-minus-pair"])
+    def test_draw_without_a_fitting_option_consumes_nothing(self, row):
+        model = ModelPoint(4, 0)  # no J and no timelike direction: no row fits
+        rngs = [sample_rng(1, i) for i in range(3)]
+        states = [rng.bit_generator.state for rng in rngs]
+        with pytest.raises(UnsupportedSignature, match="^a test draw impossible "):
+            row.draw(model, rngs, "a test draw")
+        assert [rng.bit_generator.state for rng in rngs] == states
 
     def test_unrealizable_signs_are_unsupported(self, m22):
         with pytest.raises(UnsupportedSignature, match=r"signature \(1, 1, 1\) in \(2,2\)"):
