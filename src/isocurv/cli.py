@@ -61,6 +61,28 @@ _SHARED_OPTIONS = {
 }
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_numbers(argv: list) -> list:
+    """`argv` with every ``--c -1e3`` written as ``--c=-1e3``: argparse reads
+    a separate negative number in exponent form (unlike ``-1`` or ``-0.5``)
+    as an option flag."""
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2 and "=" not in out[-1]
+                and arg.startswith("-") and _is_number(arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _common(sub, *names):
     """Add the shared options `names` to the subcommand parser `sub`."""
     for name in names:
@@ -252,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except IsocurvError as exc:

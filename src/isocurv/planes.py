@@ -138,15 +138,13 @@ def _check_independent(vectors: np.ndarray, count: int):
         raise DependentInput("input vectors are linearly dependent")
 
 
-def gram_schmidt_indefinite(model, vectors, seed: int = 0, extend: bool = False,
-                            tol=Tolerance()) -> Frame:
+def gram_schmidt_indefinite(model, vectors, tol=Tolerance()) -> Frame:
     """Orthonormalize `vectors` with respect to the indefinite metric.
 
     Pivots on the candidate with the largest |g(w,w)| (ties broken by
     lowest index).  Raises DegenerateSubspace when all remaining
     self-products fall below tolerance, DependentInput for dependent
-    inputs.  With ``extend=True``, the frame is completed to a full basis
-    using seeded random candidates.
+    inputs.
     """
     tol = as_tolerance(tol)
     work = [model.check_vec(v).copy() for v in vectors]
@@ -169,22 +167,6 @@ def gram_schmidt_indefinite(model, vectors, seed: int = 0, extend: bool = False,
         chosen.append(u)
         signs.append(sgn)
         work = [v - sgn * inner(model, v, u) * u for v in work]
-
-    if extend:
-        rng = sample_rng(seed, 0)
-        while len(chosen) < model.dim:
-            for _ in range(500):
-                v = rng.uniform(-1.0, 1.0, model.dim)
-                for _pass in range(2):  # the second pass tightens orthogonality to about one ulp
-                    for u, sgn in zip(chosen, signs):
-                        v = v - sgn * inner(model, v, u) * u
-                q = inner(model, v, v)
-                if abs(q) > 0.05:
-                    chosen.append(v / np.sqrt(abs(q)))
-                    signs.append(1 if q > 0 else -1)
-                    break
-            else:  # pragma: no cover - cannot happen for a nondegenerate metric
-                raise DegenerateSubspace("random completion failed")
     return Frame(np.stack(chosen), tuple(signs))
 
 
@@ -317,38 +299,83 @@ def _j_images(J: np.ndarray, U: np.ndarray) -> np.ndarray:
     return (J @ U[..., None])[..., 0]
 
 
+_BLOCK = 8  # candidates a generator draws per call
+_TRIES = 10 ** 4  # candidates a frame vector may take
+
+
+def _unrealized(model, signs) -> UnsupportedSignature:
+    return UnsupportedSignature(
+        f"could not realize a frame of signature {tuple(int(s) for s in signs)}"
+        f" in ({model.index},{model.dim - model.index})")
+
+
 def random_frames(model, signs, rngs, antiholomorphic=False) -> np.ndarray:
     """(k, n, m) g-orthonormal frames with the sign labels `signs` (one n-tuple,
     or one per frame), frame i drawn from ``rngs[i]`` alone.  The frames
-    advance in lockstep, one sign position at a time: a frame not yet done
-    draws a candidate from its generator, projects it in two passes off its
-    accepted vectors (and, if ``antiholomorphic``, off their J-images, so all
-    pairs of a frame span antiholomorphic planes) and keeps it if its
-    |g(v,v)| > 0.2 has the wanted sign."""
+    advance in lockstep, one sign position at a time: each frame takes the
+    candidates ``rng.uniform(-1, 1, m)`` of its generator in order, projects
+    each in two passes off its accepted vectors (and, if ``antiholomorphic``,
+    off their J-images, so all pairs of a frame span antiholomorphic planes)
+    and keeps the first whose |g(v,v)| > 0.2 has the wanted sign.  Signs
+    whose counts of -1 and +1 (doubled when antiholomorphic) exceed (s, m-s)
+    raise UnsupportedSignature before any draw.
+
+    Candidates come ``_BLOCK`` at a time, one ``uniform(-1, 1, (_BLOCK, m))``
+    call per generator (for PCG64 the doubles of as many single draws), and a
+    row's unused candidates are tested in one batch.  On return every
+    generator is where one-at-a-time draws would leave it: back at its entry
+    state, moved on by the doubles of the candidates it used."""
     k, m = len(rngs), model.dim
     want = np.broadcast_to(signs, (k, np.shape(signs)[-1]))
     frames = np.empty(want.shape + (m,))
+    # need[:, i, j]: the -1 and +1 directions that frame i's first j + 1 vectors take
+    need = (2 if antiholomorphic else 1) * np.cumsum([want < 0, want > 0], axis=2)
+    short = (need[0] > model.index) | (need[1] > m - model.index)
+    if short.any():  # the first frame that cannot fit, at the first position that fails
+        raise _unrealized(model, want[short[:, short.any(axis=0).argmax()].argmax()])
+    states = [rng.bit_generator.state for rng in rngs]
+    block = np.empty((k, _BLOCK, m))
+    pos = np.full(k, _BLOCK)  # each row's next unused candidate in its block
+    used = np.zeros(k, dtype=np.int64)  # candidates taken from each generator
+    slots = np.arange(_BLOCK)
     basis = []  # (vectors, signs) of the rows each candidate is projected off
+    lost = np.zeros(k, dtype=bool)  # frames that ran out of tries
     for j in range(want.shape[1]):
-        todo = np.arange(k)
-        for _ in range(1000):
-            if not todo.size:
-                break
-            V = np.stack([rngs[i].uniform(-1.0, 1.0, m) for i in todo])
+        todo, before = np.arange(k), used.copy()  # candidates used by earlier positions
+        while todo.size:
+            for i in todo[pos[todo] == _BLOCK]:
+                block[i] = rngs[i].uniform(-1.0, 1.0, (_BLOCK, m))
+                pos[i] = 0
+            start = pos[todo]
+            stop = np.minimum(_BLOCK, start + _TRIES - (used - before)[todo])
+            t, s = np.nonzero((slots >= start[:, None]) & (slots < stop[:, None]))
+            rows, V = todo[t], block[todo[t], s]
             for _pass in range(2):
                 for U, sgn in basis:
-                    V = V - (sgn[todo] * inner_rows(model, V, U[todo]))[:, None] * U[todo]
+                    V = V - (sgn[rows] * inner_rows(model, V, U[rows]))[:, None] * U[rows]
             q = inner_rows(model, V, V)
-            ok = (np.abs(q) > 0.2) & ((q > 0) == (want[todo, j] > 0))
-            frames[todo[ok], j] = V[ok] / np.sqrt(np.abs(q[ok]))[:, None]
-            todo = todo[~ok]
-        if todo.size:
-            raise UnsupportedSignature(
-                f"could not realize a frame of signature {tuple(int(s) for s in want[todo[0]])}"
-                f" in ({model.index},{model.dim - model.index})")
+            ok = np.zeros((todo.size, _BLOCK), dtype=bool)
+            ok[t, s] = (np.abs(q) > 0.2) & ((q > 0) == (want[rows, j] > 0))
+            hit = ok.any(axis=1)
+            end = np.where(hit, ok.argmax(axis=1) + 1, stop)
+            used[todo] += end - start
+            pos[todo] = end
+            take = np.flatnonzero(hit[t] & (s + 1 == end[t]))  # each hit row's pick
+            frames[rows[take], j] = V[take] / np.sqrt(np.abs(q[take]))[:, None]
+            todo = todo[~hit]
+            spent = (used - before)[todo] >= _TRIES
+            lost[todo[spent]] = True
+            todo = todo[~spent]
+        if lost.any():
+            break
         basis.append((frames[:, j], want[:, j]))
         if antiholomorphic:
             basis.append((_j_images(model.cplx, frames[:, j]), want[:, j]))
+    for rng, state, n in zip(rngs, states, used.tolist()):
+        rng.bit_generator.state = state
+        rng.bit_generator.random_raw(n * m, output=False)
+    if lost.any():
+        raise _unrealized(model, want[lost.argmax()])
     return frames
 
 

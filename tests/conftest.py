@@ -184,10 +184,10 @@ def oracle_random_frame(model, signs, rng, antiholomorphic=False):
     vector at a time: each candidate rng.uniform(-1, 1, m) is projected in two
     passes off the accepted vectors (and their J-images when antiholomorphic)
     with one ``inner`` call per product, and kept when |g(v,v)| > 0.2 has the
-    wanted sign."""
+    wanted sign, within the sampler's 10**4 candidates per vector."""
     frame, basis = [], []
     for want in signs:
-        for _ in range(1000):
+        for _ in range(10 ** 4):
             v = rng.uniform(-1.0, 1.0, model.dim)
             for _pass in range(2):
                 for u, sgn in basis:

@@ -407,6 +407,34 @@ class TestBadTolerance:
         assert "tolerance" in capsys.readouterr().err
 
 
+class TestNegativeExponentValues:
+    """``--c -1e3`` reads as ``--c=-1e3``; argparse alone takes a separate
+    negative number in exponent form for an option flag."""
+
+    @pytest.mark.parametrize("argv", [
+        ("const-curv", "--dim", "4", "--index", "2", "--c"),
+        ("conf-flat", "--dim", "4", "--index", "2", "--lam"),
+        ("conf-flat", "--dim", "4", "--index", "2", "--la"),
+        ("space-form", "--n", "2", "--s", "1", "--nu", "1", "--mu"),
+        ("space-form", "--n", "2", "--s", "1", "--mu", "1", "--nu"),
+    ], ids=["c", "lam", "lam-abbreviated", "mu", "nu"])
+    def test_gen(self, tmp_path, argv):
+        split, joined = tmp_path / "split.json", tmp_path / "joined.json"
+        assert run("gen", *argv, "-1e3", "--out", str(split)) == 0
+        assert run("gen", *argv[:-1], f"{argv[-1]}=-1e3", "--out", str(joined)) == 0
+        assert split.read_bytes() == joined.read_bytes()
+
+    def test_tol(self, tmp_path, capsys):
+        doc_path = tmp_path / "cc.json"
+        run("gen", "const-curv", "--dim", "4", "--index", "2", "--c", "1.0",
+            "--out", str(doc_path))
+        capsys.readouterr()
+        assert run("diagnose", str(doc_path), "--tensor", "R",
+                   "--theorem", "ThmA_weakIso_constK", "--tol", "-1e-3") == 2
+        assert capsys.readouterr().err == (
+            "error: tolerance must be a positive finite number, got -0.001\n")
+
+
 class TestMalformedDocument:
     @pytest.mark.parametrize("fields", [
         {"metric": [[-1, 0, 0, 0], [0, -1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},

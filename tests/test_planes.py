@@ -34,7 +34,6 @@ from isocurv.planes import (
     random_frames,
     sample_rng,
 )
-from isocurv.tensors import max_norm
 
 from conftest import oracle_random_frame, pulled_back_hermitian
 
@@ -66,45 +65,6 @@ class TestGramSchmidt:
     def test_dependent_input(self, m22):
         with pytest.raises(DependentInput):
             gram_schmidt_indefinite(m22, [e(4, 0), 2 * e(4, 0)])
-
-    def test_extend_recovers_signature(self, m23):
-        frame = gram_schmidt_indefinite(m23, [e(5, 0)], extend=True)
-        assert len(frame) == 5
-        assert sum(1 for s in frame.signs if s < 0) == 2
-        g = np.array([[inner(m23, u, v) for v in frame.vectors] for u in frame.vectors])
-        assert np.allclose(g, np.diag(frame.signs), atol=1e-10)
-
-    @pytest.mark.parametrize("m", [8, 12, 16, 20])
-    def test_extend_gives_the_model_signature(self, m):
-        # the completion takes any sign with |g(v,v)| > 0.05; drawing the
-        # missing signs with random_frame's prescribed-sign |q| > 0.2
-        # rejection fails on many of these models
-        for s in range(m + 1):
-            model = ModelPoint(m, s)
-            for seed in range(3):
-                frame = gram_schmidt_indefinite(model, [e(m, 0)], seed=seed, extend=True)
-                assert len(frame) == m and frame.signs.count(-1) == s
-                G = frame.vectors @ model.metric @ frame.vectors.T
-                assert np.allclose(G, np.diag(frame.signs), atol=1e-10)
-
-    def test_extend_is_orthonormal_to_rounding(self):
-        # the completion projects each candidate off the frame twice, like
-        # random_frame; one pass leaves errors up to about 3e-12 here
-        worst = 0.0
-        for m in (8, 12, 16, 20):
-            for s in range(m + 1):
-                model = ModelPoint(m, s)
-                for seed in range(3):
-                    F = gram_schmidt_indefinite(model, [e(m, 0)], seed=seed, extend=True)
-                    G = F.vectors @ model.metric @ F.vectors.T
-                    worst = max(worst, max_norm(G - np.diag(F.signs)))
-        assert worst <= 5e-13
-
-    def test_extend_deterministic(self, m22):
-        a = gram_schmidt_indefinite(m22, [e(4, 1)], extend=True, seed=3)
-        b = gram_schmidt_indefinite(m22, [e(4, 1)], extend=True, seed=3)
-        assert np.array_equal(a.vectors, b.vectors)
-        assert a.signs == b.signs
 
 
 class TestClassifyPlane:
@@ -357,13 +317,15 @@ class TestLockstepFrames:
     def test_rows_are_independent(self, model):
         # mixed per-row signs: row i of the batch is the one-row call on rngs[i]
         signs = [(1, 1), (1, -1), (-1, -1), (-1, 1)] * 3
-        batch = random_frames(model, signs, [sample_rng(4, i) for i in range(12)],
-                              antiholomorphic=True)
+        rngs = [sample_rng(4, i) for i in range(12)]
+        batch = random_frames(model, signs, rngs, antiholomorphic=True)
         for i, want in enumerate(signs):
             one = random_frames(model, want, [sample_rng(4, i)], antiholomorphic=True)
             assert np.array_equal(batch[i], one[0])
-            oracle = oracle_random_frame(model, want, sample_rng(4, i), antiholomorphic=True)
+            rng = sample_rng(4, i)
+            oracle = oracle_random_frame(model, want, rng, antiholomorphic=True)
             assert np.array_equal(batch[i], oracle)
+            assert rngs[i].bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("row", list(SIGNATURES.values()) + [PLUS_MINUS_PAIR],
                              ids=[k.value for k in SIGNATURES] + ["plus-minus-pair"])
@@ -380,6 +342,39 @@ class TestLockstepFrames:
 
     @pytest.mark.parametrize("row", list(SIGNATURES.values()) + [PLUS_MINUS_PAIR],
                              ids=[k.value for k in SIGNATURES] + ["plus-minus-pair"])
+    @pytest.mark.parametrize("model", [hermitian_model(8, 4), pulled_back_hermitian(8, 4)],
+                             ids=["h44", "pulled-back-h44"])
+    def test_draw_leaves_each_generator_where_the_oracle_does(self, model, row):
+        # candidates come in blocks; each generator is rewound to the draws it used
+        options = row.fitting(model)
+        oracle_rngs = [sample_rng(2, i) for i in range(25)]
+        for rng in oracle_rngs:
+            signs = options[rng.integers(len(options))] if row.pick_at_random else options[0]
+            oracle_random_frame(model, signs, rng, antiholomorphic=row.needs_j)
+        rngs = [sample_rng(2, i) for i in range(25)]
+        row.draw(model, rngs, "a test draw")
+        states = [rng.bit_generator.state for rng in rngs]
+        assert states == [rng.bit_generator.state for rng in oracle_rngs]
+        # the pick leaves half of a 64-bit draw buffered; advance() would drop it
+        assert any(state["has_uint32"] for state in states) == row.pick_at_random
+
+    def test_a_rare_sign_is_drawn_not_unsupported(self):
+        # at h(20,8) a timelike vector off (x, Jx) with x timelike passes 0.5-3%
+        # of the time; sample 6 of this stream needs more than 1000 candidates
+        model = hermitian_model(20, 8)
+        batch = sample_planes(model, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, 150,
+                              seed=123456789)
+        rng = sample_rng(123456789, 6)
+        options = SIGNATURES[PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC].fitting(model)
+        signs = options[rng.integers(len(options))]
+        assert signs == (-1, -1)
+        oracle = oracle_random_frame(model, signs, rng, antiholomorphic=True)
+        assert np.array_equal(batch.vectors[6], oracle)
+        G = np.einsum("kim,mn,kjn->kij", batch.vectors, model.metric, batch.vectors)
+        assert np.allclose(np.abs(G), np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("row", list(SIGNATURES.values()) + [PLUS_MINUS_PAIR],
+                             ids=[k.value for k in SIGNATURES] + ["plus-minus-pair"])
     def test_draw_without_a_fitting_option_consumes_nothing(self, row):
         model = ModelPoint(4, 0)  # no J and no timelike direction: no row fits
         rngs = [sample_rng(1, i) for i in range(3)]
@@ -389,8 +384,11 @@ class TestLockstepFrames:
         assert [rng.bit_generator.state for rng in rngs] == states
 
     def test_unrealizable_signs_are_unsupported(self, m22):
+        rng = sample_rng(0, 0)
+        state = rng.bit_generator.state
         with pytest.raises(UnsupportedSignature, match=r"signature \(1, 1, 1\) in \(2,2\)"):
-            random_frames(m22, (1, 1, 1), [sample_rng(0, 0)])
+            random_frames(m22, (1, 1, 1), [rng])
+        assert rng.bit_generator.state == state  # raised before any draw
 
 
 class TestSignatureTable:
