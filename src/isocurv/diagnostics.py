@@ -10,6 +10,12 @@ kinds each samples, its exact side and the signatures where it holds.
 
 All residuals are relative-scaled by max(1, |T|_max) of the tensor under
 test, so verdicts compare directly against the relative tolerance.
+
+The sampled sides evaluate R(x, y, z, u) through ``_RequestPlanes``: the
+pair rows x (x) y of a request's plane batches are built once, and only
+the product with R runs per tensor, so ``fuzz`` forms each pair row once
+however many trials it runs.  The rows are not kept on the lru-cached
+``PlaneBatch``, whose lifetime is not the request's.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .planes import (
     SIGNATURES,
     Frame,
     Plane,
+    PlaneBatch,
     PlaneKind,
     Signature,
     check_count,
@@ -43,8 +50,10 @@ from .planes import (
     sample_rng,
 )
 from .tensors import (
+    bivector_eval,
     check_quad,
     max_norm,
+    pair_rows,
     quad_eval_batch,
     residual_scale,
     ricci,
@@ -90,11 +99,57 @@ def _sampled(name: str, values: np.ndarray, scale: float, build: Callable) -> tu
     return name, float(res[at]), partial(build, *map(int, at))
 
 
-def _kind_side(model: ModelPoint, R, kind: PlaneKind, count: int, seed: int, scale: float):
+class _RequestPlanes:
+    """The sampled planes of one request's (model, count, seed), with the
+    pair rows of each batch built once for the whole request.
+
+    ``batch`` fetches through ``sample_planes`` on every call.  ``pair``
+    memoizes the ``pair_rows`` of basis rows (i, j) of a batch by
+    (kind, i, j); (j, i) is the contiguous transposed copy of (i, j), the
+    same bits since products commute exactly.  Only ``bivector_eval`` then
+    runs per tensor.  The rows live in this holder, not on the lru-cached
+    PlaneBatch: a caller that draws a fresh seed per call would keep the
+    rows of up to 32 batches alive, 0.2-0.8 MB each at 200 samples.
+    """
+
+    def __init__(self, model: ModelPoint, count: int, seed: int):
+        self.model, self.count, self.seed = model, count, seed
+        self._memo = {}
+
+    def batch(self, kind: PlaneKind) -> PlaneBatch:
+        return sample_planes(self.model, kind, self.count, self.seed)
+
+    def pair(self, kind: PlaneKind, planes: PlaneBatch, i: int, j: int) -> np.ndarray:
+        """(count, m^2) rows of x_i (x) x_j, x_n the basis rows n of `planes`."""
+        key = (kind, i, j)
+        if key not in self._memo:
+            flip = self._memo.get((kind, j, i))
+            if flip is None:
+                self._memo[key] = pair_rows(planes.vectors[:, i], planes.vectors[:, j])
+            else:
+                k, m = self.count, self.model.dim
+                self._memo[key] = flip.reshape(k, m, m).transpose(0, 2, 1).reshape(k, m * m)
+        return self._memo[key]
+
+    def quad(self, R, kind: PlaneKind, planes: PlaneBatch, i, j, a, b) -> np.ndarray:
+        """R(x_i, x_j, x_a, x_b) over the samples of `planes`."""
+        return bivector_eval(R, self.pair(kind, planes, i, j), self.pair(kind, planes, a, b))
+
+    def disc(self, kind: PlaneKind, planes: PlaneBatch) -> np.ndarray:
+        """Gram determinants g(u,u) g(v,v) - g(u,v)^2 of the planes."""
+        key = (kind, "disc")
+        if key not in self._memo:
+            U, V, g = planes.U, planes.V, self.model.metric
+            uu, vv, uv = (np.einsum("ki,ij,kj->k", A, g, B) for A, B in ((U, U), (V, V), (U, V)))
+            self._memo[key] = uu * vv - uv ** 2
+        return self._memo[key]
+
+
+def _kind_side(planes: _RequestPlanes, R, kind: PlaneKind, scale: float):
     """The sampled side |R(u,v,v,u)| over planes of the given kind."""
-    planes = sample_planes(model, kind, count, seed)
-    values = quad_eval_batch(R, planes.U, planes.V, planes.V, planes.U)
-    return _sampled(kind.value.replace("-", " ") + " vanishing", values, scale, planes.__getitem__)
+    batch = planes.batch(kind)
+    values = planes.quad(R, kind, batch, 0, 1, 1, 0)
+    return _sampled(kind.value.replace("-", " ") + " vanishing", values, scale, batch.__getitem__)
 
 
 def vanishing_report(model: ModelPoint, R, kind: PlaneKind, count: int = 200,
@@ -102,7 +157,7 @@ def vanishing_report(model: ModelPoint, R, kind: PlaneKind, count: int = 200,
     """Max of |R(u,v,v,u)| over sampled planes of the given kind, scaled."""
     tol = as_tolerance(tol)
     R = check_quad(model, R)
-    _, worst, witness = _kind_side(model, R, kind, count, seed, residual_scale(R))
+    _, worst, witness = _kind_side(_RequestPlanes(model, count, seed), R, kind, residual_scale(R))
     verdict = worst <= tol.rel
     return DiagReport(worst, None if verdict else witness(), count, verdict)
 
@@ -219,39 +274,37 @@ def _consistency_report(sides, tol: Tolerance, count: int) -> DiagReport:
     return DiagReport(max(r for _, r, _ in sides), witness, count, verdict, notes)
 
 
-def _quadruple_sides(model, R, count, seed, scale):
+def _quadruple_sides(planes, R, scale):
     """Theorem 2: R(x,y,a,b) and the sectional-curvature relation on (+,+,-,-)
-    quadruples."""
-    quads = sample_planes(model, PlaneKind.QUADRUPLE_PPMM, count, seed)
-    X, Y, A, B = quads.vectors.transpose(1, 0, 2)
+    quadruples (x, y, a, b), rows 0 to 3 of each frame."""
+    kind = PlaneKind.QUADRUPLE_PPMM
+    quads = planes.batch(kind)
 
-    def kval(U, V, sign):
-        return sign * quad_eval_batch(R, U, V, V, U)
+    def kval(i, j, sign):
+        return sign * planes.quad(R, kind, quads, i, j, j, i)
 
-    relation = kval(X, Y, 1) + kval(A, B, 1) - kval(X, A, -1) - kval(Y, B, -1)
-    return [_sampled("quadruple component vanishing", quad_eval_batch(R, X, Y, A, B), scale,
-                     quads.__getitem__),
+    relation = kval(0, 1, 1) + kval(2, 3, 1) - kval(0, 2, -1) - kval(1, 3, -1)
+    return [_sampled("quadruple component vanishing", planes.quad(R, kind, quads, 0, 1, 2, 3),
+                     scale, quads.__getitem__),
             _sampled("sectional curvature relation", relation, scale, quads.__getitem__)]
 
 
-def _antiholomorphic_spread_sides(model, R, count, seed, scale):
+def _antiholomorphic_spread_sides(planes, R, scale):
     """Theorem 5: weakly isotropic antiholomorphic vanishing against the
     spread of sectional curvatures over nondegenerate antiholomorphic planes."""
-    hyp = _kind_side(model, R, PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC, count, seed, scale)
-    planes = sample_planes(model, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, count, seed)
-    U, V = planes.U, planes.V
-    g = model.metric
-    disc = (np.einsum("ki,ij,kj->k", U, g, U) * np.einsum("ki,ij,kj->k", V, g, V)
-            - np.einsum("ki,ij,kj->k", U, g, V) ** 2)
-    ks = quad_eval_batch(R, U, V, V, U) / disc
+    hyp = _kind_side(planes, R, PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC, scale)
+    kind = PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC
+    batch = planes.batch(kind)
+    ks = planes.quad(R, kind, batch, 0, 1, 1, 0) / planes.disc(kind, batch)
     spread = float(np.max(ks) - np.min(ks)) / scale
     return [hyp, ("antiholomorphic curvature spread", spread, None)]
 
 
-def _einstein_sides(model, R, count, seed, scale):
+def _einstein_sides(planes, R, scale):
     """Sampled |rho(xi,xi)| on isotropic xi against the Einstein residual
     |rho - (tau/m) g|, both scaled by max(1, |rho|_max) in place of `scale`."""
-    XI = isotropic_vectors(model, count, seed)
+    model = planes.model
+    XI = isotropic_vectors(model, planes.count, planes.seed)
     rho = ricci(model, R)
     tau = trace_g(model, rho)
     scale = max(1.0, max_norm(rho))
@@ -269,7 +322,7 @@ class TheoremSpec:
 
     kinds: tuple = ()
     exact: str = None
-    sides: Callable = None  # (model, R, count, seed, scale) -> list of sides
+    sides: Callable = None  # (_RequestPlanes, R, scale) -> list of sides
     needs: Signature = None
 
     @cached_property
@@ -305,25 +358,29 @@ THEOREMS = {
 
 
 def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 200,
-                      seed: int = 0, tol=Tolerance(), *, _exact=None) -> DiagReport:
+                      seed: int = 0, tol=Tolerance(), *, _exact=None,
+                      _planes=None) -> DiagReport:
     """Evaluate both sides of a theorem; verdict true iff they agree.
 
-    ``_exact`` is internal: ``fuzz`` passes the ``_ExactNorms`` of R so that
-    the theorems of one trial share each derived tensor.
+    ``_exact`` and ``_planes`` are internal.  ``fuzz`` passes the
+    ``_ExactNorms`` of R, whose R and scale are then used as they are, so
+    that the theorems of one trial share each derived tensor; and one
+    ``_RequestPlanes`` of (model, count, seed) for the whole request, so
+    that each pair row is built once however many trials run.
     """
     tol = as_tolerance(tol)
-    R = check_quad(model, R)
+    R = check_quad(model, R) if _exact is None else _exact.R
     check_count(count)
-    scale = residual_scale(R)
+    exact = _ExactNorms(model, R, residual_scale(R)) if _exact is None else _exact
+    planes = _RequestPlanes(model, count, seed) if _planes is None else _planes
     spec = THEOREMS[theorem_id]
     for what, row in spec.signatures:
         row.require(model, f"{theorem_id.value}: {what}")
     if spec.sides is not None:
-        sides = spec.sides(model, R, count, seed, scale)
+        sides = spec.sides(planes, R, exact.scale)
     else:
-        sides = [_kind_side(model, R, kind, count, seed, scale) for kind in spec.kinds]
+        sides = [_kind_side(planes, R, kind, exact.scale) for kind in spec.kinds]
     if spec.exact is not None:
-        exact = _ExactNorms(model, R, scale) if _exact is None else _exact
         sides.append((_ExactNorms.SIDE_NAMES[spec.exact], getattr(exact, spec.exact), None))
     return _consistency_report(sides, tol, count)
 
@@ -422,11 +479,13 @@ def fuzz(model: ModelPoint, trials: int, seed: int = 0, samples: int = 100,
             f"no theorem applies to signature ({model.index},{model.dim - model.index})")
     counts = {t.value: {"consistent": 0, "inconsistent": 0} for t in theorems}
     inconsistencies = []
+    planes = _RequestPlanes(model, samples, seed)
     for trial in range(trials):
         R = random_curvature_like(model, seed, trial)
         exact = _ExactNorms(model, R, residual_scale(R))
         for tid in theorems:
-            rep = equivalence_check(model, R, tid, samples, seed, tol, _exact=exact)
+            rep = equivalence_check(model, R, tid, samples, seed, tol, _exact=exact,
+                                    _planes=planes)
             counts[tid.value]["consistent" if rep.verdict else "inconsistent"] += 1
             if not rep.verdict:
                 inconsistencies.append({

@@ -3,6 +3,12 @@
 Tensors are plain ``(m, m, m, m)`` float arrays indexed (i, j, k, l),
 fully covariant, against the model's default basis.  Bilinear forms are
 ``(m, m)`` arrays.
+
+Every evaluation T(x, y, z, u) is a bivector product in two steps:
+``pair_rows`` forms the rows of x (x) y and z (x) u, and ``bivector_eval``
+contracts them with T viewed as an (m^2, m^2) matrix.  ``quad_eval_batch``
+does both; the sampled checks in ``diagnostics`` keep the pair rows of a
+request's planes and run only the second step per tensor.
 """
 
 from __future__ import annotations
@@ -40,18 +46,38 @@ def residual_scale(T) -> float:
     return max(1.0, top)
 
 
+def pair_rows(X, Y) -> np.ndarray:
+    """The (k, m^2) rows of x_k (x) y_k for the rows of two (k, m) arrays.
+
+    Each entry is the single product x_k[i] y_k[j] that the broadcast
+    ``X[:, :, None] * Y[:, None, :]`` forms, except that a zero product is
+    always +0.0; one einsum is faster than the broadcast on the strided rows
+    of a ``PlaneBatch``.  Products commute exactly, so the rows of (Y, X)
+    are the (m, m) transposes of these, bit for bit.
+    """
+    X, Y = (np.asarray(A, dtype=float) for A in (X, Y))
+    k, m = X.shape
+    return np.einsum("ki,kj->kij", X, Y).reshape(k, m * m)
+
+
+def bivector_eval(T, XY, ZU) -> np.ndarray:
+    """Row k of XY times T viewed as an (m^2, m^2) matrix, dotted with row k
+    of ZU: T(x_k, y_k, z_k, u_k) when XY and ZU are the ``pair_rows`` of
+    (X, Y) and (Z, U)."""
+    T = np.asarray(T, dtype=float)
+    n = XY.shape[1]
+    return np.einsum("kp,kp->k", XY @ T.reshape(n, n), ZU)
+
+
 def quad_eval_batch(T, X, Y, Z, U) -> np.ndarray:
     """T(x_k, y_k, z_k, u_k) for the rows of four (k, m) arrays.
 
-    Evaluated as a bivector product: the rows of X (x) Y times T viewed as
-    an (m^2, m^2) matrix, dotted row by row with the rows of Z (x) U.
+    Evaluated as a bivector product: the ``pair_rows`` of X (x) Y times T
+    viewed as an (m^2, m^2) matrix, dotted row by row with those of Z (x) U.
+    A caller that evaluates many tensors on the same rows builds the pair
+    rows once and calls ``bivector_eval`` itself.
     """
-    T = np.asarray(T, dtype=float)
-    X, Y, Z, U = (np.asarray(A, dtype=float) for A in (X, Y, Z, U))
-    k, m = X.shape
-    xy = (X[:, :, None] * Y[:, None, :]).reshape(k, m * m)
-    zu = (Z[:, :, None] * U[:, None, :]).reshape(k, m * m)
-    return np.einsum("kp,kp->k", xy @ T.reshape(m * m, m * m), zu)
+    return bivector_eval(T, pair_rows(X, Y), pair_rows(Z, U))
 
 
 def quad_eval(T, x, y, z, u) -> float:

@@ -20,6 +20,7 @@ from isocurv import (
     pi2,
     quad_eval,
     random_curvature_like,
+    sample_planes,
     uniqueness_check,
     validate_curvature_like,
     vanishing_report,
@@ -145,12 +146,48 @@ class TestDerivedTensorsBuiltOnce:
         flatness_norms(h44, random_curvature_like(h44, 5))
         assert counter.calls == {"pi2": 0}
 
+    def test_fuzz_takes_r_and_scale_from_the_shared_norms(self, h44, monkeypatch):
+        import isocurv.diagnostics as diag
+
+        counter = _CallCounter(monkeypatch, diag, ["residual_scale", "check_quad"])
+        fuzz(h44, trials=3, seed=1, samples=5)
+        assert counter.calls == {"residual_scale": 3, "check_quad": 0}
+
     def test_equivalence_check_alone_matches_fuzz_sharing(self, h44):
         R = random_curvature_like(h44, 0, 0)
         summary = fuzz(h44, trials=1, seed=0, samples=5)
         for tid in applicable_theorems(h44):
             rep = equivalence_check(h44, R, tid, 5, 0)
             assert summary["checks"][tid.value]["consistent"] == int(rep.verdict)
+
+
+class TestPairRowsBuiltOncePerRequest:
+    # h44 samples six plane kinds, each with one pair row (u, v), and the
+    # (+,+,-,-) quadruples (x, y, a, b) with four: (x, y), (a, b), (x, a) and
+    # (y, b); every reversed pair is the transposed copy of one of these
+    ROWS_ON_H44 = 10
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_fuzz_forms_each_pair_row_once(self, h44, monkeypatch, trials):
+        import isocurv.diagnostics as diag
+
+        counter = _CallCounter(monkeypatch, diag, ["pair_rows"])
+        assert not fuzz(h44, trials=trials, seed=1, samples=5)["inconsistencies"]
+        assert counter.calls == {"pair_rows": self.ROWS_ON_H44}
+
+    def test_cached_batches_hold_no_pair_rows(self, h44):
+        # the rows live for one request only: on the lru-cached batch, a
+        # caller drawing a fresh seed per call would keep 32 batches' rows
+        kinds = {kind for tid in applicable_theorems(h44) for kind in THEOREMS[tid].kinds}
+        batches = {kind: sample_planes(h44, kind, 5, 1) for kind in kinds}
+        before = {kind: dict(vars(batch)) for kind, batch in batches.items()}
+        fuzz(h44, trials=2, seed=1, samples=5)
+        for tid in applicable_theorems(h44):
+            equivalence_check(h44, random_curvature_like(h44, 2), tid, 5, 1)
+        for kind, batch in batches.items():
+            assert sample_planes(h44, kind, 5, 1) is batch
+            assert vars(batch).keys() == before[kind].keys()
+            assert all(vars(batch)[name] is value for name, value in before[kind].items())
 
 
 class TestWitnesses:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import isocurv.diagnostics as diag
 from isocurv import (
     ModelPoint,
     PlaneKind,
@@ -19,6 +20,7 @@ from isocurv import (
 )
 from isocurv.diagnostics import random_curvature_like
 from isocurv.errors import MissingComplexStructure
+from isocurv.planes import SIGNATURES
 from isocurv.tensors import conjugate_riccis
 
 from conftest import (
@@ -209,3 +211,57 @@ class TestQuadEvalBatch:
         assert np.max(np.abs(quad_eval_batch(R, Y, X, Z, U) + base)) <= cut
         assert np.max(np.abs(quad_eval_batch(R, X, Y, U, Z) + base)) <= cut
         assert np.max(np.abs(quad_eval_batch(R, Z, U, X, Y) - base)) <= cut
+
+
+def _broadcast_kernel(T, X, Y, Z, U):
+    """The kernel before pair rows were split out: broadcast outer products."""
+    k, m = X.shape
+    xy = (X[:, :, None] * Y[:, None, :]).reshape(k, m * m)
+    zu = (Z[:, :, None] * U[:, None, :]).reshape(k, m * m)
+    return np.einsum("kp,kp->k", xy @ T.reshape(m * m, m * m), zu)
+
+
+class TestMemoizedPairRows:
+    """The per-request pair rows of ``diagnostics`` give the values of the
+    broadcast kernel, bit for bit up to the sign of a zero, for every ordered
+    pair of distinct basis rows of every kind's batch."""
+
+    @pytest.mark.parametrize("model", [
+        hermitian_model(8, 4), hermitian_model(12, 6), pulled_back_hermitian(8, 4, seed=5),
+        ModelPoint(5, 2)], ids=["h44", "h66", "pulled-back-h44", "m23"])
+    def test_match_the_broadcast_kernel(self, model):
+        R = random_curvature_like(model, 11)
+        planes = diag._RequestPlanes(model, 12, 3)
+        kinds = [kind for kind, row in SIGNATURES.items() if row.fitting(model)]
+        assert len(kinds) == (8 if model.has_cplx else 3)
+        cases = 0
+        for kind in kinds:
+            batch = planes.batch(kind)
+            rows = range(batch.vectors.shape[1])
+            pairs = [(i, j) for i in rows for j in rows if i != j]
+            for i, j in pairs:
+                for a, b in pairs:
+                    got = planes.quad(R, kind, batch, i, j, a, b)
+                    want = _broadcast_kernel(R, *batch.vectors.transpose(1, 0, 2)[[i, j, a, b]])
+                    assert np.array_equal(got, want), (kind, i, j, a, b)
+                    cases += 1
+        assert cases == (312 if model.has_cplx else 152)
+
+    def test_reversed_rows_are_the_transposed_copy(self, h44):
+        planes = diag._RequestPlanes(h44, 12, 3)
+        batch = planes.batch(PlaneKind.QUADRUPLE_PPMM)
+        xa = planes.pair(PlaneKind.QUADRUPLE_PPMM, batch, 0, 2)
+        ax = planes.pair(PlaneKind.QUADRUPLE_PPMM, batch, 2, 0)
+        assert ax.flags.c_contiguous
+        assert np.array_equal(ax, xa.reshape(12, 8, 8).transpose(0, 2, 1).reshape(12, 64))
+        assert planes.pair(PlaneKind.QUADRUPLE_PPMM, batch, 2, 0) is ax
+
+    def test_gram_discriminants_built_once(self, h44):
+        kind = PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC
+        planes = diag._RequestPlanes(h44, 12, 3)
+        batch = planes.batch(kind)
+        disc = planes.disc(kind, batch)
+        assert planes.disc(kind, batch) is disc
+        want = [p.gram(h44) for p in batch]
+        assert np.allclose(disc, [g[0, 0] * g[1, 1] - g[0, 1] ** 2 for g in want],
+                           rtol=0, atol=1e-12)
