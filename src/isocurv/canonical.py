@@ -28,7 +28,7 @@ compute each derived tensor once and share its norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,20 +129,7 @@ def conformal(model: ModelPoint, R) -> np.ndarray:
     return R - _phi_raw(g, rho / (m - 2) - tau * g / (2.0 * (m - 1) * (m - 2)))
 
 
-@dataclass
-class BochnerDetails:
-    tensor: np.ndarray
-    hybrid_residuals: dict = field(default_factory=dict)  # name -> residual
-    hybrid_forms: dict = field(default_factory=dict)      # name -> tested form
-
-    def hybrid_ok(self, tol=Tolerance()) -> bool:
-        """Every hybrid residual within tol, scaled by max(1, |S|_max) over
-        all the tested forms S (they are contractions of one tensor)."""
-        cut = as_tolerance(tol).threshold(*self.hybrid_forms.values())
-        return all(r <= cut for r in self.hybrid_residuals.values())
-
-
-def bochner(model: ModelPoint, R, details: bool = False):
+def bochner(model: ModelPoint, R) -> np.ndarray:
     """Bochner curvature tensor of an almost-Hermitian model, m = 2n >= 6.
 
     B = R - (phi + psi)(s1)/(16(n+2)) - (3 phi - psi)(s2)/(16(n-2))
@@ -153,8 +140,7 @@ def bochner(model: ModelPoint, R, details: bool = False):
     s4 = rho(R - conj), c1 = (tau + 3 tau*)/(16(n+1)(n+2)) and
     c2 = (tau - tau*)/(16(n-1)(n-2)) of R itself.  Evaluated in closed
     linear form as R - phi(S_phi) - psi(S_psi).  psi-arguments violating
-    the hybrid condition do not abort; their residuals are recorded when
-    ``details=True``.
+    the hybrid condition do not abort.
     """
     m = model.dim
     if m % 2 or m < 6:
@@ -181,11 +167,7 @@ def bochner(model: ModelPoint, R, details: bool = False):
              - 0.5 * (c1 - c2) * g)
     B = R - _phi_raw(g, s_phi)
     B -= _psi_raw(g @ J, s_psi @ J)
-    if not details:
-        return B
-    forms = {"rho+3rho*(R+conj)": s1, "rho-rho*(R+conj)": s2, "rho*(R-conj)": s3}
-    residuals = {name: hybrid_residual(model, S) for name, S in forms.items()}
-    return BochnerDetails(B, residuals, forms)
+    return B
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +213,18 @@ def build_space_form(model: ModelPoint, nu: float, mu: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def antiholomorphic_form_residual(model: ModelPoint, R, nu: float, notes=None,
-                                  tol=Tolerance()) -> float:
+def antiholomorphic_form_residual(model: ModelPoint, R, nu: float) -> float:
     """Max-norm residual of the constant-antiholomorphic-curvature form:
 
     R - psi(rho*)/(2(n+1)) + tau* pi2/((2n+1)(2n+2)) - nu (pi1 - pi2/(2n+1)),
 
-    evaluated as R - psi(S_psi) - phi(nu g/2).  When ``notes`` is a list, a
-    note is appended if rho* violates the psi hybrid condition beyond
-    ``tol`` (scaled by max(1, |rho*|_max)).
+    evaluated as R - psi(S_psi) - phi(nu g/2).
     """
     J = model.require_cplx()
     R = check_quad(model, R)
     n = model.dim // 2
     g = model.metric
     rs = ricci_star(model, R)
-    hy = hybrid_residual(model, rs)
-    if notes is not None and hy > as_tolerance(tol).threshold(rs):
-        notes.append(f"rho* violates the psi hybrid condition (residual {hy:.3e})")
     ts = trace_g(model, rs)
     s_psi = (rs / (2.0 * (n + 1))
              - (ts / ((2 * n + 1) * (2 * n + 2)) + nu / (2 * n + 1)) * g / 2.0)

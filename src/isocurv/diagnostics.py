@@ -291,7 +291,11 @@ def _quadruple_sides(planes, R, scale):
 
 def _antiholomorphic_spread_sides(planes, R, scale):
     """Theorem 5: weakly isotropic antiholomorphic vanishing against the
-    spread of sectional curvatures over nondegenerate antiholomorphic planes."""
+    spread of sectional curvatures over nondegenerate antiholomorphic planes.
+    The spread over one plane is 0 whatever R is, so it needs two samples."""
+    if planes.count < 2:
+        raise InvalidSampleCount(f"{TheoremId.THM_5_WEAK_ISO_ANTIHOL.value} needs at least two "
+                                 f"samples for a curvature spread, got {planes.count}")
     hyp = _kind_side(planes, R, PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC, scale)
     kind = PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC
     batch = planes.batch(kind)

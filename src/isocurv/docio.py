@@ -63,13 +63,16 @@ def _only_numbers(value) -> bool:
 
 
 def _numeric(value, what: str) -> np.ndarray:
-    """A float array from JSON data; ragged or non-numeric data is InvalidDocument."""
+    """A float array from JSON data; ragged or non-numeric data, or an integer
+    too large for a float, is InvalidDocument."""
     if not _only_numbers(value):
         raise InvalidDocument(f"{what} has a string, boolean or null entry")
     try:
         return np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidDocument(f"{what} is not a rectangular numeric array: {exc}") from exc
+    except OverflowError as exc:
+        raise InvalidDocument(f"{what} has an integer too large for a float") from exc
 
 
 def load_document(path) -> TensorDocument:

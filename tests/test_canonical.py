@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from isocurv import (
     ModelPoint,
-    Tolerance,
     bochner,
     build_conformally_flat,
     build_constant_curvature,
@@ -130,12 +129,6 @@ class TestBochner:
         R = random_curvature_like(h44, 4)
         assert max_norm(bochner(h44, R)) > 1e-3
 
-    def test_details_record_hybrid_residuals(self, h44):
-        R = build_space_form(h44, 0.5, 2.0)
-        d = bochner(h44, R, details=True)
-        assert d.hybrid_ok()
-        assert np.allclose(d.tensor, bochner(h44, R), atol=0.0)
-
     def test_dimension_guard(self, m22):
         mh = hermitian_model(4, 2)
         with pytest.raises(DimensionMismatch):
@@ -192,16 +185,6 @@ class TestAntiholomorphicForm:
     def test_wrong_nu_detected(self, h44):
         R = build_space_form(h44, 0.3, 1.7)
         assert antiholomorphic_form_residual(h44, R, 0.4) > 1e-2
-
-    def test_notes_on_hybrid_violation(self, h44):
-        # pair-skew tensors without the Bianchi identity can have a
-        # Ricci-star contraction that breaks the hybrid condition
-        T = np.random.default_rng(0).uniform(-1.0, 1.0, (8,) * 4)
-        T = T - T.transpose(1, 0, 2, 3)
-        T = T - T.transpose(0, 1, 3, 2)
-        notes = []
-        antiholomorphic_form_residual(h44, T, 0.0, notes=notes)
-        assert notes and "hybrid" in notes[0]
 
 
 class TestTheorem6Identities:
@@ -320,31 +303,3 @@ class TestNaturality:
             assert got.nu_hat == pytest.approx(want.nu_hat, rel=1e-9)
             if want.mu_hat is not None:
                 assert got.mu_hat == pytest.approx(want.mu_hat, rel=1e-9)
-
-
-class TestScaledHybridChecks:
-    def test_hybrid_ok_scales_with_the_forms(self):
-        # rounding in rho, rho* of a 1e6-sized space form leaves hybrid
-        # residuals near 1e-8, far below 1e-9 of the forms' own size
-        model = pulled_back_hermitian(8, 4, seed=0)
-        R = 1e6 * build_space_form(model, 0.5, 2.0)
-        d = bochner(model, R, details=True)
-        assert max(d.hybrid_residuals.values()) > 1e-9
-        assert d.hybrid_ok()
-        assert d.hybrid_ok(Tolerance(1e-9))
-
-    def test_hybrid_ok_detects_violation(self, h44):
-        T = np.random.default_rng(0).uniform(-1.0, 1.0, (8,) * 4)
-        T = T - T.transpose(1, 0, 2, 3)
-        T = T - T.transpose(0, 1, 3, 2)
-        assert not bochner(h44, T, details=True).hybrid_ok()
-
-    def test_antiholomorphic_note_uses_given_tolerance(self, h44):
-        T = np.random.default_rng(0).uniform(-1.0, 1.0, (8,) * 4)
-        T = T - T.transpose(1, 0, 2, 3)
-        T = T - T.transpose(0, 1, 3, 2)
-        loose, strict = [], []
-        antiholomorphic_form_residual(h44, T, 0.0, notes=loose, tol=10.0)
-        antiholomorphic_form_residual(h44, T, 0.0, notes=strict, tol=Tolerance(1e-9))
-        assert not loose
-        assert strict and "hybrid" in strict[0]

@@ -376,6 +376,26 @@ class TestFuzz:
         assert "trial" in captured.err and captured.out == ""
 
 
+class TestTheorem5SampleCount:
+    # the curvature spread over one antiholomorphic plane is 0 for any R
+    def test_diagnose_one_sample_is_usage_error(self, tmp_path, capsys):
+        doc_path = tmp_path / "r.json"
+        model = hermitian_model(8, 4)
+        save_document(TensorDocument(model, {"R": random_curvature_like(model, 3)}), doc_path)
+        assert run("diagnose", str(doc_path), "--tensor", "R", "--theorem",
+                   "Thm5_weakIsoAntihol_constAntihol", "--samples", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: Thm5_weakIsoAntihol_constAntihol needs at least two")
+
+    def test_fuzz_one_sample_is_usage_error(self, capsys):
+        assert run("fuzz", "--dim", "8", "--index", "4", "--complex", "--trials", "1",
+                   "--samples", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: Thm5_weakIsoAntihol_constAntihol needs at least two")
+
+
 class TestNonFiniteTensor:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("argv", [
@@ -484,6 +504,28 @@ class TestNonNumericDocument:
                                     "tensors": {"R": [0] * 256}}))
         doc = load_document(path)
         assert doc.tensor("R").dtype == float and not doc.tensor("R").any()
+
+
+class TestHugeIntegerDocument:
+    # an integer past the largest double: float() raises OverflowError
+    HUGE = 10 ** 400
+
+    @pytest.mark.parametrize("fields", [
+        {"tensors": {"R": [HUGE] + [0] * 255}},
+        {"metric": [[-HUGE, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    ], ids=["tensor-entry", "metric-entry"])
+    def test_invalid_document(self, tmp_path, capsys, fields):
+        from isocurv.errors import InvalidDocument
+
+        obj = {"dim": 4, "index": 2, "tensors": {"R": [0] * 256}}
+        obj.update(fields)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InvalidDocument, match="too large for a float"):
+            load_document(path)
+        assert run("diagnose", str(path), "--tensor", "R", "--theorem", "flatness") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTheoremChoices:

@@ -476,6 +476,21 @@ class TestSampleCounts:
         with pytest.raises(InvalidSampleCount):
             fuzz(h44, 1, samples=count)
 
+    def test_theorem5_needs_two_samples(self, h44):
+        # one nondegenerate antiholomorphic plane has a curvature spread of 0
+        # whatever R is, which used to pass against a failing hypothesis
+        R = random_curvature_like(h44, 3)
+        with pytest.raises(InvalidSampleCount, match="^Thm5_weakIsoAntihol_constAntihol needs"):
+            equivalence_check(h44, R, TheoremId.THM_5_WEAK_ISO_ANTIHOL, 1)
+        with pytest.raises(InvalidSampleCount, match="^Thm5_weakIsoAntihol_constAntihol needs"):
+            fuzz(h44, 3, samples=1)
+        assert equivalence_check(h44, R, TheoremId.THM_5_WEAK_ISO_ANTIHOL, 2).verdict
+
+    def test_one_sample_without_theorem5(self):
+        model = ModelPoint(4, 2)
+        assert TheoremId.THM_5_WEAK_ISO_ANTIHOL not in applicable_theorems(model)
+        assert sum(fuzz(model, 2, samples=1)["checks"]["ThmA_weakIso_constK"].values()) == 2
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_fuzz_trials(self, h44, trials):
         with pytest.raises(InvalidSampleCount, match="trial"):
