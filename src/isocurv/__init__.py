@@ -43,7 +43,6 @@ from .planes import (
     Frame,
     Holomorphy,
     Plane,
-    PlaneBatch,
     PlaneClass,
     PlaneKind,
     classify_holomorphy,

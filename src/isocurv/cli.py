@@ -26,7 +26,6 @@ from .docio import TensorDocument, load_document, save_document
 from .errors import IsocurvError, NonFiniteTensor
 from .model import ModelPoint, Tolerance, hermitian_model
 from .planes import (
-    Frame,
     Plane,
     PlaneClass,
     classify_holomorphy,
@@ -105,7 +104,7 @@ def cmd_gen(args) -> int:
                 raise NonFiniteTensor("--lam has a NaN or infinite value")
             S = args.lam * model.metric
         else:
-            rng = np.random.default_rng(args.seed)
+            rng = np.random.default_rng(args.seed & ((1 << 63) - 1))  # folded as sample_rng does
             S = rng.uniform(-1.0, 1.0, (args.dim, args.dim))
             S = (S + S.T) / 2.0
         tensor = build_conformally_flat(model, S)
@@ -160,16 +159,6 @@ def _print_report(rep) -> None:
     print(f"verdict: {'consistent' if rep.verdict else 'INCONSISTENT'}")
 
 
-def _witness_rows(witness):
-    """The basis rows of a report's witness as lists: [x, y] of a Plane, a
-    Frame's rows, [xi] of an isotropic vector; None when there is none."""
-    if witness is None:
-        return None
-    if isinstance(witness, Plane):
-        return [witness.x.tolist(), witness.y.tolist()]
-    return (witness.vectors if isinstance(witness, Frame) else np.atleast_2d(witness)).tolist()
-
-
 def cmd_diagnose(args) -> int:
     doc = load_document(args.path)
     model = doc.model
@@ -190,7 +179,7 @@ def cmd_diagnose(args) -> int:
         "samples_used": rep.samples_used,
         "verdict": rep.verdict,
         "notes": rep.side_notes,
-        "witness": _witness_rows(rep.witness),
+        "witness": None if rep.witness is None else rep.witness.tolist(),
     }
     _write_json(args, payload)
     return 0 if rep.verdict else 1

@@ -14,15 +14,17 @@ test, so verdicts compare directly against the relative tolerance.
 The sampled sides evaluate R(x, y, z, u) through ``_RequestPlanes``: the
 pair rows x (x) y of a request's plane batches are built once, and only
 the product with R runs per tensor, so ``fuzz`` forms each pair row once
-however many trials it runs.  The rows are not kept on the lru-cached
-``PlaneBatch``, whose lifetime is not the request's.
+however many trials it runs.  Each sample is a read-only array of basis
+rows, and a failing report's witness is the (n, m) rows of its worst
+sample: the (x, y) of a plane, the rows of a frame, or the one row xi of
+an isotropic vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,9 +40,6 @@ from .model import ModelPoint, Tolerance, as_tolerance, inner_rows
 from .planes import (
     PLUS_MINUS_PAIR,
     SIGNATURES,
-    Frame,
-    Plane,
-    PlaneBatch,
     PlaneKind,
     Signature,
     check_count,
@@ -82,64 +81,65 @@ class UniquenessKind(Enum):
 @dataclass
 class DiagReport:
     max_residual: float
-    # Plane/Frame/ndarray where the worst failing sampled side peaks; None when
-    # the verdict is consistent or no sampled side fails
-    witness: object
+    # (n, m) basis rows of the sample where the worst failing sampled side
+    # peaks; None when the verdict is consistent or no sampled side fails
+    witness: np.ndarray
     samples_used: int
     verdict: bool
     side_notes: list = field(default_factory=list)
 
 
-def _sampled(name: str, values: np.ndarray, scale: float, build: Callable) -> tuple:
-    """One sampled side: (name, max |values| / scale, witness builder).
-    `values` has shape (k,) or (k, j); the builder is `build` bound to the
-    index of the maximum, and ties go to the earliest sample."""
+def _sampled(name: str, values: np.ndarray, scale: float, rows: np.ndarray) -> tuple:
+    """One sampled side: (name, max |values| / scale, witness rows).
+    `values` has shape (k,) or (k, j) and `rows` (k, n, m) or (k, j, n, m);
+    the witness is the (n, m) rows at the maximum, ties to the earliest."""
     res = np.abs(values) / scale
     at = np.unravel_index(int(np.argmax(res)), res.shape)
-    return name, float(res[at]), partial(build, *map(int, at))
+    return name, float(res[at]), rows[at]
 
 
 class _RequestPlanes:
     """The sampled planes of one request's (model, count, seed), with the
     pair rows of each batch built once for the whole request.
 
-    ``batch`` fetches through ``sample_planes`` on every call.  ``pair``
-    memoizes the ``pair_rows`` of basis rows (i, j) of a batch by
-    (kind, i, j); (j, i) is the contiguous transposed copy of (i, j), the
-    same bits since products commute exactly.  Only ``bivector_eval`` then
-    runs per tensor.  The rows live in this holder, not on the lru-cached
-    PlaneBatch: a caller that draws a fresh seed per call would keep the
-    rows of up to 32 batches alive, 0.2-0.8 MB each at 200 samples.
+    ``batch`` fetches the read-only (count, n, m) array of a kind through
+    ``sample_planes`` on every call.  ``pair`` memoizes the ``pair_rows`` of
+    basis rows (i, j) of a batch by (kind, i, j); (j, i) is the contiguous
+    transposed copy of (i, j), the same bits since products commute exactly.
+    Only ``bivector_eval`` then runs per tensor.  The pair rows live in this
+    holder, not in the lru cache of ``sample_planes``: a caller that draws a
+    fresh seed per call would keep the rows of up to 32 batches alive,
+    0.2-0.8 MB each at 200 samples.
     """
 
     def __init__(self, model: ModelPoint, count: int, seed: int):
         self.model, self.count, self.seed = model, count, seed
         self._memo = {}
 
-    def batch(self, kind: PlaneKind) -> PlaneBatch:
+    def batch(self, kind: PlaneKind) -> np.ndarray:
         return sample_planes(self.model, kind, self.count, self.seed)
 
-    def pair(self, kind: PlaneKind, planes: PlaneBatch, i: int, j: int) -> np.ndarray:
+    def pair(self, kind: PlaneKind, planes: np.ndarray, i: int, j: int) -> np.ndarray:
         """(count, m^2) rows of x_i (x) x_j, x_n the basis rows n of `planes`."""
         key = (kind, i, j)
         if key not in self._memo:
             flip = self._memo.get((kind, j, i))
             if flip is None:
-                self._memo[key] = pair_rows(planes.vectors[:, i], planes.vectors[:, j])
+                self._memo[key] = pair_rows(planes[:, i], planes[:, j])
             else:
                 k, m = self.count, self.model.dim
                 self._memo[key] = flip.reshape(k, m, m).transpose(0, 2, 1).reshape(k, m * m)
         return self._memo[key]
 
-    def quad(self, R, kind: PlaneKind, planes: PlaneBatch, i, j, a, b) -> np.ndarray:
+    def quad(self, R, kind: PlaneKind, planes: np.ndarray, i, j, a, b) -> np.ndarray:
         """R(x_i, x_j, x_a, x_b) over the samples of `planes`."""
         return bivector_eval(R, self.pair(kind, planes, i, j), self.pair(kind, planes, a, b))
 
-    def disc(self, kind: PlaneKind, planes: PlaneBatch) -> np.ndarray:
+    def disc(self, kind: PlaneKind, planes: np.ndarray) -> np.ndarray:
         """Gram determinants g(u,u) g(v,v) - g(u,v)^2 of the planes."""
         key = (kind, "disc")
         if key not in self._memo:
-            U, V, g = planes.U, planes.V, self.model.metric
+            U, V, g = planes[:, 0], planes[:, 1], self.model.metric
             uu, vv, uv = (np.einsum("ki,ij,kj->k", A, g, B) for A, B in ((U, U), (V, V), (U, V)))
             self._memo[key] = uu * vv - uv ** 2
         return self._memo[key]
@@ -149,7 +149,7 @@ def _kind_side(planes: _RequestPlanes, R, kind: PlaneKind, scale: float):
     """The sampled side |R(u,v,v,u)| over planes of the given kind."""
     batch = planes.batch(kind)
     values = planes.quad(R, kind, batch, 0, 1, 1, 0)
-    return _sampled(kind.value.replace("-", " ") + " vanishing", values, scale, batch.__getitem__)
+    return _sampled(kind.value.replace("-", " ") + " vanishing", values, scale, batch)
 
 
 def vanishing_report(model: ModelPoint, R, kind: PlaneKind, count: int = 200,
@@ -159,7 +159,7 @@ def vanishing_report(model: ModelPoint, R, kind: PlaneKind, count: int = 200,
     R = check_quad(model, R)
     _, worst, witness = _kind_side(_RequestPlanes(model, count, seed), R, kind, residual_scale(R))
     verdict = worst <= tol.rel
-    return DiagReport(worst, None if verdict else witness(), count, verdict)
+    return DiagReport(worst, None if verdict else witness, count, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +261,16 @@ def flatness_norms(model: ModelPoint, R) -> FlatnessNorms:
 
 
 def _consistency_report(sides, tol: Tolerance, count: int) -> DiagReport:
-    """sides: list of (name, scaled residual, witness builder or None).
+    """sides: list of (name, scaled residual, witness rows or None).
     Verdict: all agree.  An inconsistent verdict carries the witness of the
-    worst failing side that has a builder, or None if no such side fails."""
+    worst failing side that has one, or None if no such side fails."""
     passes = [r <= tol.rel for _, r, _ in sides]
     verdict = all(passes) or not any(passes)
     notes = [f"{name}: residual {r:.3e} -> {'pass' if ok else 'fail'}"
              for (name, r, _), ok in zip(sides, passes)]
-    failing = [(r, build) for (_, r, build), ok in zip(sides, passes)
-               if build is not None and not ok]
-    witness = None if verdict or not failing else max(failing, key=lambda f: f[0])[1]()
+    failing = [(r, rows) for (_, r, rows), ok in zip(sides, passes)
+               if rows is not None and not ok]
+    witness = None if verdict or not failing else max(failing, key=lambda f: f[0])[1]
     return DiagReport(max(r for _, r, _ in sides), witness, count, verdict, notes)
 
 
@@ -285,8 +285,8 @@ def _quadruple_sides(planes, R, scale):
 
     relation = kval(0, 1, 1) + kval(2, 3, 1) - kval(0, 2, -1) - kval(1, 3, -1)
     return [_sampled("quadruple component vanishing", planes.quad(R, kind, quads, 0, 1, 2, 3),
-                     scale, quads.__getitem__),
-            _sampled("sectional curvature relation", relation, scale, quads.__getitem__)]
+                     scale, quads),
+            _sampled("sectional curvature relation", relation, scale, quads)]
 
 
 def _antiholomorphic_spread_sides(planes, R, scale):
@@ -313,7 +313,7 @@ def _einstein_sides(planes, R, scale):
     tau = trace_g(model, rho)
     scale = max(1.0, max_norm(rho))
     values = np.einsum("ki,ij,kj->k", XI, rho, XI)
-    return [_sampled("sampled max |rho(xi,xi)|", values, scale, XI.__getitem__),
+    return [_sampled("sampled max |rho(xi,xi)|", values, scale, XI[:, None]),
             ("Einstein residual", max_norm(rho - (tau / model.dim) * model.metric) / scale, None)]
 
 
@@ -422,7 +422,7 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
         Z = (Z - inner_rows(model, Z, X)[:, None] * (X / inner_rows(model, X, X)[:, None])
              - inner_rows(model, Z, Y)[:, None] * (Y / inner_rows(model, Y, Y)[:, None]))
         sides = [_sampled("sampled hypothesis residual", quad_eval_batch(T, X, Y, Z, X), scale,
-                          lambda k: Frame(np.stack([X[k], Y[k], Z[k]]), (1, -1, 0))),
+                          np.stack([X, Y, Z], axis=1)),
                  ("constant-curvature residual", _ExactNorms(model, T, scale).const_curv, None)]
     else:
         J = model.cplx
@@ -432,12 +432,12 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
             X = np.stack([rng.uniform(-1.0, 1.0, model.dim) for rng in rngs])
         U, V = row.draw(model, rngs, what).transpose(1, 0, 2)
         JX, JU = X @ J.T, U @ J.T
-        # per sample: R(x,Jx,Jx,x) on the holomorphic plane, then R(u,v,v,u)
-        # and R(u,Ju,v,u) on the antiholomorphic one
+        # per sample: R(x,Jx,Jx,x) on the holomorphic plane (x, Jx), then
+        # R(u,v,v,u) and R(u,Ju,v,u) on the antiholomorphic one (u, v)
         values = np.stack([quad_eval_batch(T, X, JX, JX, X), quad_eval_batch(T, U, V, V, U),
                            quad_eval_batch(T, U, JU, V, U)], axis=1)
-        sides = [_sampled("sampled hypothesis residual", values, scale,
-                          lambda k, j: Plane(X[k], JX[k]) if j == 0 else Plane(U[k], V[k])),
+        rows = np.stack([X, JX, U, V, U, V], axis=1).reshape(count, 3, 2, model.dim)
+        sides = [_sampled("sampled hypothesis residual", values, scale, rows),
                  ("tensor norm", max_norm(T) / scale, None)]
     return _consistency_report(sides, tol, count)
 

@@ -86,14 +86,7 @@ def load_document(path) -> TensorDocument:
         raise InvalidDocument("document needs integer 'dim' and 'index'")
     if not 0 <= index <= dim:
         raise InvalidDocument("declared index exceeds dimension")
-    metric = _numeric(obj["metric"], "'metric'") if "metric" in obj else None
-    cplx = _numeric(obj["J"], "'J'") if "J" in obj else None
-    try:
-        model = ModelPoint(dim, index, metric=metric, cplx=cplx)
-    except Exception as exc:
-        raise InvalidDocument(str(exc)) from exc
-    if model.has_cplx and not validate_complex_structure(model).verdict:
-        raise InvalidDocument("J fails the complex-structure axioms")
+    # tensors first: their sizes check 'dim' before the model spends dim^2 memory on it
     entries = obj.get("tensors", {})
     if not isinstance(entries, dict):
         raise InvalidDocument("'tensors' must map names to component lists")
@@ -105,4 +98,12 @@ def load_document(path) -> TensorDocument:
         if not np.all(np.isfinite(arr)):
             raise InvalidDocument(f"tensor {name!r} has NaN or infinite components")
         tensors[name] = arr.reshape((dim,) * 4)
+    metric = _numeric(obj["metric"], "'metric'") if "metric" in obj else None
+    cplx = _numeric(obj["J"], "'J'") if "J" in obj else None
+    try:
+        model = ModelPoint(dim, index, metric=metric, cplx=cplx)
+    except Exception as exc:
+        raise InvalidDocument(str(exc)) from exc
+    if model.has_cplx and not validate_complex_structure(model).verdict:
+        raise InvalidDocument("J fails the complex-structure axioms")
     return TensorDocument(model, tensors, obj.get("meta", {}))

@@ -16,7 +16,6 @@ construction, not by rejection near the light cone.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -93,44 +92,6 @@ class Frame:
 
     def __len__(self):
         return len(self.signs)
-
-
-@dataclass(frozen=True, eq=False)
-class PlaneBatch:
-    """An immutable batch of sampled planes or frames, stored as one array.
-
-    ``vectors[i]`` holds sample i: the basis rows (x, y) of a plane, or the
-    rows of a frame whose sign labels are ``signs``.  The array is
-    read-only; indexing and iteration build Plane/Frame views of its rows.
-    """
-
-    vectors: np.ndarray  # (k, 2, m) for planes, (k, 4, m) for quadruples
-    signs: tuple = None  # frame sign labels; None for a batch of planes
-
-    def __post_init__(self):
-        vectors = np.array(self.vectors, dtype=float)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
-
-    @property
-    def U(self) -> np.ndarray:
-        """(k, m) first basis vectors."""
-        return self.vectors[:, 0]
-
-    @property
-    def V(self) -> np.ndarray:
-        """(k, m) second basis vectors."""
-        return self.vectors[:, 1]
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def __getitem__(self, i):
-        rows = self.vectors[operator.index(i)]
-        return Plane(*rows) if self.signs is None else Frame(rows, self.signs)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def _check_independent(vectors: np.ndarray, count: int):
@@ -386,11 +347,14 @@ def check_count(count: int) -> None:
 
 
 @lru_cache(maxsize=32)
-def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0) -> PlaneBatch:
-    """Deterministic batch of `count` planes/frames of the given kind.
+def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0) -> np.ndarray:
+    """Read-only (count, n, m) array of `count` seeded samples of the given
+    kind: row i holds the basis rows (x, y) of a plane, or for a quadruple
+    kind the n = 4 rows of a frame with sign labels
+    ``SIGNATURES[kind].options[0]``.
 
-    The 32 most recent batches are cached by their arguments (models
-    compare by value); a repeated call returns the same immutable PlaneBatch.
+    The 32 most recent arrays are cached by their arguments (models compare
+    by value); a repeated call returns the same array.
     """
     check_count(count)
     row = SIGNATURES[kind]
@@ -398,7 +362,8 @@ def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0)
     vectors = np.stack([frames[:, list(rows)].sum(axis=1) for rows in row.rows], axis=1)
     if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
         vectors = np.stack([vectors[:, 0], _j_images(model.cplx, vectors[:, 0])], axis=1)
-    return PlaneBatch(vectors, row.options[0] if len(row.rows) == 4 else None)
+    vectors.setflags(write=False)
+    return vectors
 
 
 @lru_cache(maxsize=32)

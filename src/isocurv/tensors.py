@@ -51,9 +51,10 @@ def pair_rows(X, Y) -> np.ndarray:
 
     Each entry is the single product x_k[i] y_k[j] that the broadcast
     ``X[:, :, None] * Y[:, None, :]`` forms, except that a zero product is
-    always +0.0; one einsum is faster than the broadcast on the strided rows
-    of a ``PlaneBatch``.  Products commute exactly, so the rows of (Y, X)
-    are the (m, m) transposes of these, bit for bit.
+    always +0.0; one einsum is faster than the broadcast on the strided
+    basis rows ``planes[:, i]`` of a ``sample_planes`` array.  Products
+    commute exactly, so the rows of (Y, X) are the (m, m) transposes of
+    these, bit for bit.
     """
     X, Y = (np.asarray(A, dtype=float) for A in (X, Y))
     k, m = X.shape

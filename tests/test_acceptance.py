@@ -176,8 +176,8 @@ def test_06_space_form_curvatures(h44):
         (x,) = random_frames(h44, (1,), [sample_rng(6, i)])[0]
         k = sectional_curvature(h44, R, Plane(x, J @ x))
         worst = max(worst, abs(k - mu) / max(1.0, abs(mu)))
-    for p in sample_planes(h44, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, 100, seed=6):
-        k = sectional_curvature(h44, R, p)
+    for x, y in sample_planes(h44, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, 100, seed=6):
+        k = sectional_curvature(h44, R, Plane(x, y))
         worst = max(worst, abs(k - nu) / max(1.0, abs(nu)))
     # Kaehler convention: antiholomorphic curvature is a quarter of the
     # holomorphic one
@@ -185,8 +185,8 @@ def test_06_space_form_curvatures(h44):
     RK = build_space_form(h44, mu2 / 4.0, mu2)
     (x,) = random_frames(h44, (1,), [sample_rng(6, 200)])[0]
     k_hol = sectional_curvature(h44, RK, Plane(x, J @ x))
-    p = sample_planes(h44, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, 1, seed=7)[0]
-    k_anti = sectional_curvature(h44, RK, p)
+    x, y = sample_planes(h44, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, 1, seed=7)[0]
+    k_anti = sectional_curvature(h44, RK, Plane(x, y))
     worst = max(worst, abs(k_anti - k_hol / 4.0))
     announce(6, "space form sectional curvatures", worst, worst <= 1e-10)
 

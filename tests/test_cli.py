@@ -77,6 +77,17 @@ class TestGen:
             "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("seed, folded", [(-1, 2 ** 63 - 1), (-2 ** 63, 0)])
+    def test_conf_flat_negative_seed_is_folded(self, tmp_path, seed, folded):
+        # folded into [0, 2**63) as the samplers fold theirs
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run("gen", "conf-flat", "--dim", "4", "--index", "2", "--seed", str(seed),
+                   "--out", str(a)) == 0
+        assert load_document(a).tensor("R").shape == (4,) * 4
+        run("gen", "conf-flat", "--dim", "4", "--index", "2", "--seed", str(folded),
+            "--out", str(b))
+        assert a.read_bytes() == b.read_bytes()
+
     @pytest.mark.parametrize("argv", [
         ("space-form", "--n", "2", "--s", "1", "--mu", "nan", "--nu", "1"),
         ("const-curv", "--dim", "4", "--index", "2", "--c", "inf"),
@@ -526,6 +537,24 @@ class TestHugeIntegerDocument:
         assert run("diagnose", str(path), "--tensor", "R", "--theorem", "flatness") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestHugeDimension:
+    # a declared dim far past the tensors' sizes: rejected before the model
+    # spends dim^2 memory on it
+    def test_rejected_before_the_model_is_built(self, tmp_path, capsys, monkeypatch):
+        import isocurv.docio as docio
+        from isocurv.errors import InvalidDocument
+
+        built = []
+        monkeypatch.setattr(docio, "ModelPoint", lambda *a, **k: built.append(a))
+        path = tmp_path / "huge-dim.json"
+        path.write_text(json.dumps({"dim": 1500, "index": 2, "tensors": {"R": [0.0]}}))
+        with pytest.raises(InvalidDocument, match=f"has 1 components, expected {1500 ** 4}$"):
+            load_document(path)
+        assert run("diagnose", str(path), "--tensor", "R", "--theorem", "flatness") == 2
+        assert capsys.readouterr().err.startswith("error: tensor 'R' has 1 components")
+        assert built == []
 
 
 class TestTheoremChoices:

@@ -2,7 +2,6 @@
 underscore-prefixed name from a different isocurv module."""
 
 import ast
-import importlib
 from pathlib import Path
 
 import pytest
@@ -61,21 +60,3 @@ def test_detects_a_private_import(tmp_path):
     assert _private_imports(tmp_path / "test_x.py") == [(1, "", "isocurv._private"),
                                                         (3, "isocurv", "_helper")]
 
-
-def _traced_names() -> list:
-    """(module, name) for every function the benchmark's tracer wraps, read
-    from the SPANNED and COUNTED tables of benchmarks/spans.py."""
-    tree = ast.parse((ROOT / "benchmarks" / "spans.py").read_text(encoding="utf-8"))
-    tables = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
-              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
-              and node.targets[0].id in ("SPANNED", "COUNTED")}
-    assert set(tables) == {"SPANNED", "COUNTED"}
-    return [(module, name) for table in tables.values()
-            for module, names in table.items() for name in names]
-
-
-@pytest.mark.parametrize("module, name", _traced_names(), ids=lambda v: v)
-def test_traced_function_exists(module, name):
-    """A refactor that renames or deletes a traced function fails here, not
-    in a benchmark run."""
-    assert callable(getattr(importlib.import_module(f"isocurv.{module}"), name, None))

@@ -1,6 +1,8 @@
 """Decisions made in one place, checked on the source: a usage error in the
-CLI is an IsocurvError (``cli.main`` has one handler for it), and a
-signature row's sign pick and J flag are applied only by ``planes``."""
+CLI is an IsocurvError (``cli.main`` has one handler for it), a signature
+row's sign pick and J flag are applied only by ``planes``, and a sample is
+its array of basis rows: ``diagnostics`` builds no Plane or Frame from it,
+and no wrapper class named PlaneBatch comes back."""
 
 import ast
 from pathlib import Path
@@ -33,6 +35,21 @@ def _row_decisions(tree: ast.AST) -> list:
         or isinstance(node.func, ast.Attribute) and node.func.attr == "pick")]
 
 
+def _names(tree: ast.AST, wanted: set) -> list:
+    """Lines that import, load or call one of the names `wanted`, bare or as
+    an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            hit = any(a.name.rpartition(".")[2] in wanted for a in node.names)
+        else:
+            hit = (isinstance(node, ast.Name) and node.id in wanted
+                   or isinstance(node, ast.Attribute) and node.attr in wanted)
+        if hit:
+            found.append(node.lineno)
+    return sorted(found)
+
+
 def _parse(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"))
 
@@ -47,6 +64,15 @@ def test_only_planes_applies_a_signature_row(path):
     assert _row_decisions(_parse(path)) == []
 
 
+def test_diagnostics_builds_no_plane_or_frame():
+    assert _names(_parse(SRC / "diagnostics.py"), {"Plane", "Frame"}) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_plane_batch(path):
+    assert _names(_parse(path), {"PlaneBatch"}) == []
+
+
 def test_detects_what_it_forbids():
     tree = ast.parse(
         "raise SystemExit('no')\n"
@@ -57,6 +83,12 @@ def test_detects_what_it_forbids():
         "random_frames(model, signs, rngs, antiholomorphic=True)\n"
         "row.pick(options, rngs)\n"
         "raise IsocurvError('fine')\n"
-        "random_frames(model, (1,), rngs)\n")
+        "random_frames(model, (1,), rngs)\n"
+        "from .planes import Frame, sample_planes\n"
+        "planes.Plane(x, y)\n"
+        "import isocurv.planes.PlaneBatch\n"
+        "Planes, frame = PlaneBatch(v), batch.vectors\n")
     assert _system_exits(tree) == [1, 4]
     assert _row_decisions(tree) == [6, 7]
+    assert _names(tree, {"Plane", "Frame"}) == [10, 11]
+    assert _names(tree, {"PlaneBatch"}) == [12, 13]

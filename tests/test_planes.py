@@ -6,7 +6,6 @@ from isocurv import (
     Holomorphy,
     ModelPoint,
     Plane,
-    PlaneBatch,
     PlaneClass,
     PlaneKind,
     build_space_form,
@@ -172,42 +171,42 @@ class TestSamplers:
     @pytest.mark.parametrize("kind", list(EXPECTED_MEMBERSHIP))
     def test_membership(self, h44, kind):
         cls, hol = EXPECTED_MEMBERSHIP[kind]
-        for p in sample_planes(h44, kind, 200, seed=5):
+        for x, y in sample_planes(h44, kind, 200, seed=5):
+            p = Plane(x, y)
             assert classify_plane(h44, p) == cls
             if hol is not None:
                 assert classify_holomorphy(h44, p) == hol
 
     def test_quadruples_are_frames(self, h44):
+        signs = SIGNATURES[PlaneKind.QUADRUPLE_PPMM].options[0]
+        assert signs == (1, 1, -1, -1)
         for fr in sample_planes(h44, PlaneKind.QUADRUPLE_PPMM, 50, seed=1):
-            assert isinstance(fr, Frame)
-            assert fr.signs == (1, 1, -1, -1)
-            g = np.array([[inner(h44, u, v) for v in fr.vectors] for u in fr.vectors])
-            assert np.allclose(g, np.diag(fr.signs), atol=1e-10)
+            assert fr.shape == (4, 8)
+            g = np.array([[inner(h44, u, v) for v in fr] for u in fr])
+            assert np.allclose(g, np.diag(signs), atol=1e-10)
 
     def test_antiholomorphic_quadruples(self, h44):
         J = h44.cplx
-        for fr in sample_planes(h44, PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM, 50, seed=1):
-            assert fr.signs == (1, 1, -1, -1)
-            for u in fr.vectors:
-                for v in fr.vectors:
+        kind = PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM
+        assert SIGNATURES[kind].options[0] == (1, 1, -1, -1)
+        for fr in sample_planes(h44, kind, 50, seed=1):
+            for u in fr:
+                for v in fr:
                     assert abs(inner(h44, u, J @ v)) <= 1e-10
 
     def test_weakly_isotropic_on_real_model(self, m22):
-        for p in sample_planes(m22, PlaneKind.WEAKLY_ISOTROPIC, 200, seed=9):
-            assert classify_plane(m22, p) == PlaneClass.WEAKLY_ISOTROPIC
+        for x, y in sample_planes(m22, PlaneKind.WEAKLY_ISOTROPIC, 200, seed=9):
+            assert classify_plane(m22, Plane(x, y)) == PlaneClass.WEAKLY_ISOTROPIC
 
     def test_deterministic(self, m22):
         a = sample_planes(m22, PlaneKind.STRONGLY_ISOTROPIC, 20, seed=4)
-        b = sample_planes(m22, PlaneKind.STRONGLY_ISOTROPIC, 20, seed=4)
-        for p, q in zip(a, b):
-            assert np.array_equal(p.x, q.x)
-            assert np.array_equal(p.y, q.y)
+        sample_planes.cache_clear()
+        assert np.array_equal(sample_planes(m22, PlaneKind.STRONGLY_ISOTROPIC, 20, seed=4), a)
 
     def test_prefix_stability(self, m22):
         long = sample_planes(m22, PlaneKind.WEAKLY_ISOTROPIC, 30, seed=4)
         short = sample_planes(m22, PlaneKind.WEAKLY_ISOTROPIC, 10, seed=4)
-        for p, q in zip(short, long):
-            assert np.array_equal(p.x, q.x)
+        assert np.array_equal(short, long[:10])
 
     def test_unsupported_signature(self):
         lorentz = ModelPoint(4, 1)
@@ -225,44 +224,28 @@ class TestSamplers:
             sample_planes(m22, PlaneKind.ISOTROPIC_HOLOMORPHIC, 1, seed=0)
 
 
-class TestPlaneBatch:
-    @pytest.mark.parametrize("kind", [PlaneKind.WEAKLY_ISOTROPIC, PlaneKind.QUADRUPLE_PPMM])
+class TestSampleArrays:
+    @pytest.mark.parametrize("kind", list(PlaneKind))
     def test_arrays_are_read_only(self, h44, kind):
         batch = sample_planes(h44, kind, 5, seed=2)
-        for arr in (batch.vectors, batch.U, batch.V):
+        for arr in (batch, batch[0], batch[:, 0]):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
-        item = batch[0]
-        view = item.vectors if isinstance(item, Frame) else item.x
-        with pytest.raises(ValueError):
-            view[0] = 1.0
 
-    def test_planes_agree_with_arrays(self, h44):
-        batch = sample_planes(h44, PlaneKind.STRONGLY_ISOTROPIC, 7, seed=3)
-        assert isinstance(batch, PlaneBatch)
-        assert len(batch) == 7 and batch.U.shape == batch.V.shape == (7, 8)
-        planes = list(batch)
-        assert len(planes) == 7
-        for i, p in enumerate(planes):
-            assert isinstance(p, Plane)
-            assert np.array_equal(p.x, batch.U[i]) and np.array_equal(p.y, batch.V[i])
-            assert np.array_equal(batch[i].x, p.x)
-        assert np.array_equal(batch[-1].y, batch.V[6])
-        with pytest.raises(IndexError):
-            batch[7]
-
-    def test_frames_agree_with_arrays(self, h44):
-        batch = sample_planes(h44, PlaneKind.QUADRUPLE_PPMM, 4, seed=3)
-        assert batch.vectors.shape == (4, 4, 8)
-        for i, fr in enumerate(batch):
-            assert isinstance(fr, Frame) and fr.signs == (1, 1, -1, -1)
-            assert np.array_equal(fr.vectors, batch.vectors[i])
+    @pytest.mark.parametrize("kind", list(PlaneKind))
+    def test_a_sample_is_its_basis_rows(self, h44, kind):
+        # two rows (x, y) for a plane, four for a frame of a quadruple kind
+        n = 4 if kind.name.endswith("QUADRUPLE_PPMM") else 2
+        batch = sample_planes(h44, kind, 7, seed=3)
+        assert type(batch) is np.ndarray and batch.dtype == float
+        assert batch.shape == (7, n, 8)
 
     def test_planes_and_frames_compare_by_identity(self, h44):
-        # == on array fields would raise; these compare like PlaneBatch
-        for item in (sample_planes(h44, PlaneKind.WEAKLY_ISOTROPIC, 1)[0],
-                     sample_planes(h44, PlaneKind.QUADRUPLE_PPMM, 1)[0]):
+        # == on array fields would raise; these compare by identity
+        x, y = sample_planes(h44, PlaneKind.WEAKLY_ISOTROPIC, 1)[0]
+        frame = sample_planes(h44, PlaneKind.QUADRUPLE_PPMM, 1)[0]
+        for item in (Plane(x, y), Frame(frame, SIGNATURES[PlaneKind.QUADRUPLE_PPMM].options[0])):
             assert item == item and item != type(item)(*vars(item).values())
 
     def test_cache_hit_is_same_object(self, m22):
@@ -274,7 +257,7 @@ class TestPlaneBatch:
     def test_prefix_of_arrays_is_stable(self, h44, kind):
         long = sample_planes(h44, kind, 30, seed=8)
         short = sample_planes(h44, kind, 10, seed=8)
-        assert np.array_equal(short.vectors, long.vectors[:10])
+        assert np.array_equal(short, long[:10])
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_rejected(self, m22, count):
@@ -310,7 +293,7 @@ class TestLockstepFrames:
             signs = options[rng.integers(len(options))] if row.pick_at_random else options[0]
             frame = oracle_random_frame(model, signs, rng, antiholomorphic=row.needs_j)
             expected.append(ORACLE_ASSEMBLY[kind](model.cplx, frame))
-        assert np.array_equal(sample_planes(model, kind, 25, seed=2).vectors, expected)
+        assert np.array_equal(sample_planes(model, kind, 25, seed=2), expected)
 
     @pytest.mark.parametrize("model", [hermitian_model(8, 4), pulled_back_hermitian(8, 4)],
                              ids=["h44", "pulled-back-h44"])
@@ -369,8 +352,8 @@ class TestLockstepFrames:
         signs = options[rng.integers(len(options))]
         assert signs == (-1, -1)
         oracle = oracle_random_frame(model, signs, rng, antiholomorphic=True)
-        assert np.array_equal(batch.vectors[6], oracle)
-        G = np.einsum("kim,mn,kjn->kij", batch.vectors, model.metric, batch.vectors)
+        assert np.array_equal(batch[6], oracle)
+        G = np.einsum("kim,mn,kjn->kij", batch, model.metric, batch)
         assert np.allclose(np.abs(G), np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("row", list(SIGNATURES.values()) + [PLUS_MINUS_PAIR],
@@ -417,7 +400,7 @@ class TestSignatureTable:
         # all three sign options fit (4, 4); the sampler draws among them
         signs = {tuple(np.sign([inner(h44, u, u) for u in frame]))
                  for frame in sample_planes(h44, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, 60,
-                                            seed=3).vectors}
+                                            seed=3)}
         assert signs == {(1, 1), (1, -1), (-1, -1)}
 
 
@@ -430,9 +413,9 @@ class TestSeededSamplers:
         # the plane (x + a, J(x + a)) of the antiholomorphic (+,-) frame (x, a)
         # drawn from the sample's generator
         batch = sample_planes(h44, PlaneKind.ISOTROPIC_HOLOMORPHIC, 5, seed=6)
-        for i, p in enumerate(batch):
+        for i, (u, v) in enumerate(batch):
             x, a = random_frames(h44, (1, -1), [sample_rng(6, i)], antiholomorphic=True)[0]
-            assert np.array_equal(p.x, x + a) and np.array_equal(p.y, h44.cplx @ (x + a))
+            assert np.array_equal(u, x + a) and np.array_equal(v, h44.cplx @ (x + a))
 
     def test_least_signature_comes_from_the_signs(self):
         assert SIGNATURES[PlaneKind.WEAKLY_ISOTROPIC].least == ((1, 2), (2, 1))

@@ -4,6 +4,7 @@ import pytest
 import isocurv.diagnostics as diag
 from isocurv import (
     ModelPoint,
+    Plane,
     PlaneKind,
     conjugate,
     hermitian_model,
@@ -189,14 +190,14 @@ class TestQuadEvalBatch:
         model = non_diagonal_model(m, 2, seed=m)
         rng = np.random.default_rng(m)
         T = rng.uniform(-1.0, 1.0, (m,) * 4)  # no symmetries at all
-        planes = sample_planes(model, PlaneKind.STRONGLY_ISOTROPIC, 6, seed=m)
+        X, Y = sample_planes(model, PlaneKind.STRONGLY_ISOTROPIC, 6, seed=m).transpose(1, 0, 2)
         Z, U = rng.normal(size=(2, 6, m))
-        got = quad_eval_batch(T, planes.U, planes.V, Z, U)
+        got = quad_eval_batch(T, X, Y, Z, U)
         assert got.shape == (6,)
         for k in range(6):
-            want = oracle_quad_eval(T, planes.U[k], planes.V[k], Z[k], U[k])
+            want = oracle_quad_eval(T, X[k], Y[k], Z[k], U[k])
             assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-12)
-            assert quad_eval(T, planes.U[k], planes.V[k], Z[k], U[k]) == pytest.approx(
+            assert quad_eval(T, X[k], Y[k], Z[k], U[k]) == pytest.approx(
                 want, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("m", [4, 5, 8])
@@ -237,12 +238,12 @@ class TestMemoizedPairRows:
         cases = 0
         for kind in kinds:
             batch = planes.batch(kind)
-            rows = range(batch.vectors.shape[1])
+            rows = range(batch.shape[1])
             pairs = [(i, j) for i in rows for j in rows if i != j]
             for i, j in pairs:
                 for a, b in pairs:
                     got = planes.quad(R, kind, batch, i, j, a, b)
-                    want = _broadcast_kernel(R, *batch.vectors.transpose(1, 0, 2)[[i, j, a, b]])
+                    want = _broadcast_kernel(R, *batch.transpose(1, 0, 2)[[i, j, a, b]])
                     assert np.array_equal(got, want), (kind, i, j, a, b)
                     cases += 1
         assert cases == (312 if model.has_cplx else 152)
@@ -262,6 +263,6 @@ class TestMemoizedPairRows:
         batch = planes.batch(kind)
         disc = planes.disc(kind, batch)
         assert planes.disc(kind, batch) is disc
-        want = [p.gram(h44) for p in batch]
+        want = [Plane(x, y).gram(h44) for x, y in batch]
         assert np.allclose(disc, [g[0, 0] * g[1, 1] - g[0, 1] ** 2 for g in want],
                            rtol=0, atol=1e-12)
