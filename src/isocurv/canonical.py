@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, HybridConditionViolated, IsocurvError, NonFiniteTensor
 from .model import ModelPoint, Tolerance, as_tolerance
-from .planes import PLUS_MINUS_PAIR, check_count, random_frames, sample_rng
+from .planes import PLUS_MINUS_PAIR, check_count, random_frames, sample_rngs
 from .tensors import (
     check_quad,
     conjugate_riccis,
@@ -263,7 +263,7 @@ def theorem6_identities(model: ModelPoint, R, samples: int = 100, seed: int = 0,
     ts = trace_g(model, rs)
 
     # per sample: a spacelike unit x, then a (+,-) orthonormal pair (y, b)
-    rngs = [sample_rng(seed, i) for i in range(samples)]
+    rngs = sample_rngs(seed, 0, samples)
     X = random_frames(model, (1,), rngs)[:, 0]
     Y, B = PLUS_MINUS_PAIR.draw(model, rngs, what).transpose(1, 0, 2)
     E = np.eye(m)

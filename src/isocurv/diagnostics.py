@@ -47,6 +47,7 @@ from .planes import (
     random_frames,
     sample_planes,
     sample_rng,
+    sample_rngs,
 )
 from .tensors import (
     bivector_eval,
@@ -415,7 +416,7 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
     row, what = _UNIQUENESS_SIGNATURES[kind], f"{kind.value} sampling"
     row.require(model, what)  # before Lemma 1 draws its x
 
-    rngs = [sample_rng(seed, i) for i in range(count)]
+    rngs = sample_rngs(seed, 0, count)
     if kind is UniquenessKind.THM_B:
         X, Y = row.draw(model, rngs, what).transpose(1, 0, 2)
         Z = np.stack([rng.uniform(-1.0, 1.0, model.dim) for rng in rngs])

@@ -8,7 +8,10 @@ orthogonal to its J-image).
 Sampling is deterministic: sample ``i`` of a call with seed ``k`` draws from
 ``sample_rng(k, i)``, that is ``numpy.random.default_rng([k, i])`` (PCG64
 seeded through numpy's SeedSequence mixing), so disjoint consumers can split
-work by sample index.  ``SIGNATURES`` says where each kind exists.
+work by sample index.  A draw builds its generators with ``sample_rngs``, in
+one pass with the same states; their ``seed_seq`` is a holder of the seed
+words, not a SeedSequence, and nothing here reads it.  ``SIGNATURES`` says
+where each kind exists.
 Every sampled object satisfies its kind's defining predicate by
 construction, not by rejection near the light cone.
 """
@@ -251,8 +254,78 @@ PLUS_MINUS_PAIR = Signature(False, ((1, -1),))
 
 
 def sample_rng(seed: int, i: int) -> np.random.Generator:
-    """The generator of sample `i` of the stream with seed `seed`."""
+    """The generator of sample `i` of the stream with seed `seed`: the
+    definition that ``sample_rngs`` builds many of in one pass."""
     return np.random.default_rng([seed & _SEED_MASK, i])
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first `count` values of a SeedSequence hash constant, which starts
+    at `init` and is multiplied by `mult` (mod 2**32) at each use."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence, fixed by its stream-compatibility policy (NEP 19).  Its
+# entropy, padded with zero words to 4, loads a pool of 4 words through 4
+# hashmix calls; then each pool word, hashed once per other word, is mixed
+# into the other three (12 calls); 8 hashed pool words are the 4 uint64
+# output words.  Call k of a hash XORs with constant k and multiplies by
+# constant k + 1, so every constant is fixed before any data is seen.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_CALL = 3 + np.cumsum(~np.eye(4, dtype=bool)).reshape(4, 4)  # [src, dst], src != dst
+_MIX_XOR, _MIX_MUL = _HASH_A[_MIX_CALL], _HASH_A[_MIX_CALL + 1]
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mul
+    return value ^ value >> 16
+
+
+class _SeedWords:
+    """The four uint64 words that ``SeedSequence(...).generate_state(4, np.uint64)``
+    would give PCG64, computed by ``sample_rngs``.  It stands in for the
+    SeedSequence as a generator's ``seed_seq`` (``sample_rngs`` registers it
+    as numpy's ``ISeedSequence``); it cannot spawn, and nothing in isocurv
+    reads it."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a sample generator's seed words are four uint64 words")
+        return self.words
+
+
+def sample_rngs(seed: int, start: int, stop: int) -> list:
+    """``[sample_rng(seed, i) for i in range(start, stop)]``, with the same
+    generator states, seeded in one pass: SeedSequence's uint32 hash runs on
+    all rows at once, and each row's words go to PCG64 through numpy's
+    ``ISeedSequence`` interface, so a generator's ``seed_seq`` is the words
+    holder, not a SeedSequence.  Rows are below 2**32, one entropy word each."""
+    # here, not at import: numpy loads np.random on first use, and only draws need it
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_SeedWords)  # returns at once when already registered
+    seed &= _SEED_MASK
+    entropy = np.zeros((4, stop - start), dtype=np.uint32)
+    entropy[0], entropy[1] = seed & 0xFFFFFFFF, seed >> 32
+    entropy[1 + (seed >> 32 > 0)] = np.arange(start, stop)  # a seed below 2**32 is one word
+    pool = _hashmix(entropy, _HASH_A[0:4], _HASH_A[1:5])
+    for src in range(4):
+        mixed = _MIX_L * pool - _MIX_R * _hashmix(pool[src], _MIX_XOR[src], _MIX_MUL[src])
+        mixed ^= mixed >> 16
+        mixed[src] = pool[src]
+        pool = mixed
+    state = _hashmix(np.concatenate((pool, pool)), _HASH_B[:8], _HASH_B[1:])
+    rows = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in rows]
 
 
 def _j_images(J: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -260,7 +333,8 @@ def _j_images(J: np.ndarray, U: np.ndarray) -> np.ndarray:
     return (J @ U[..., None])[..., 0]
 
 
-_BLOCK = 8  # candidates a generator draws per call
+_BLOCK = 32  # candidates a generator draws per call
+_WINDOW = 2  # candidates a row first tests per round at a sign position
 _TRIES = 10 ** 4  # candidates a frame vector may take
 
 
@@ -281,11 +355,16 @@ def random_frames(model, signs, rngs, antiholomorphic=False) -> np.ndarray:
     whose counts of -1 and +1 (doubled when antiholomorphic) exceed (s, m-s)
     raise UnsupportedSignature before any draw.
 
-    Candidates come ``_BLOCK`` at a time, one ``uniform(-1, 1, (_BLOCK, m))``
-    call per generator (for PCG64 the doubles of as many single draws), and a
-    row's unused candidates are tested in one batch.  On return every
-    generator is where one-at-a-time draws would leave it: back at its entry
-    state, moved on by the doubles of the candidates it used."""
+    Candidates come ``_BLOCK`` at a time, one ``random`` call per generator
+    whose doubles u give the bits of ``uniform(-1, 1, (_BLOCK, m))`` as
+    2u - 1 (for PCG64 the doubles of as many single draws).  At each sign position a row tests its next
+    ``_WINDOW`` unused candidates in one batch with the other rows, then
+    twice as many each round it misses, up to ``_BLOCK``; it takes at most
+    ``_TRIES`` candidates per position.  On return every generator is where
+    one-at-a-time draws would leave it: back at its entry state, moved on by
+    the doubles of the candidates it used.  Generators from ``sample_rngs``
+    do as well as any: their ``seed_seq`` (a holder of seed words, not a
+    SeedSequence) is never read."""
     k, m = len(rngs), model.dim
     want = np.broadcast_to(signs, (k, np.shape(signs)[-1]))
     frames = np.empty(want.shape + (m,))
@@ -303,17 +382,20 @@ def random_frames(model, signs, rngs, antiholomorphic=False) -> np.ndarray:
     lost = np.zeros(k, dtype=bool)  # frames that ran out of tries
     for j in range(want.shape[1]):
         todo, before = np.arange(k), used.copy()  # candidates used by earlier positions
+        width = _WINDOW  # every row still in todo has missed the same rounds
         while todo.size:
-            for i in todo[pos[todo] == _BLOCK]:
-                block[i] = rngs[i].uniform(-1.0, 1.0, (_BLOCK, m))
-                pos[i] = 0
+            empty = todo[pos[todo] == _BLOCK]
+            for i in empty:
+                rngs[i].random(out=block[i])
+            pos[empty] = 0
             start = pos[todo]
-            stop = np.minimum(_BLOCK, start + _TRIES - (used - before)[todo])
+            stop = np.minimum(_BLOCK, start + np.minimum(width, _TRIES - (used - before)[todo]))
             t, s = np.nonzero((slots >= start[:, None]) & (slots < stop[:, None]))
-            rows, V = todo[t], block[todo[t], s]
+            rows, V = todo[t], 2.0 * block[todo[t], s] - 1.0  # the bits of uniform(-1, 1)
+            off = [(U[rows], sgn[rows]) for U, sgn in basis]  # gathered once per round
             for _pass in range(2):
-                for U, sgn in basis:
-                    V = V - (sgn[rows] * inner_rows(model, V, U[rows]))[:, None] * U[rows]
+                for U, sgn in off:
+                    V = V - (sgn * inner_rows(model, V, U))[:, None] * U
             q = inner_rows(model, V, V)
             ok = np.zeros((todo.size, _BLOCK), dtype=bool)
             ok[t, s] = (np.abs(q) > 0.2) & ((q > 0) == (want[rows, j] > 0))
@@ -327,6 +409,7 @@ def random_frames(model, signs, rngs, antiholomorphic=False) -> np.ndarray:
             spent = (used - before)[todo] >= _TRIES
             lost[todo[spent]] = True
             todo = todo[~spent]
+            width = min(2 * width, _BLOCK)
         if lost.any():
             break
         basis.append((frames[:, j], want[:, j]))
@@ -346,20 +429,36 @@ def check_count(count: int) -> None:
         raise InvalidSampleCount(f"need at least one sample, got {count}")
 
 
+_CHUNK = 1024  # samples seeded and drawn together: bounds a draw's generators and blocks
+
+
+def _chunk_frames(row: Signature, model: ModelPoint, seed: int, count: int, what: str):
+    """``row.draw`` over samples 0 .. count - 1 of the stream with seed `seed`,
+    ``_CHUNK`` samples at a time; yields each chunk's frames.  Rows are
+    independent, so the chunks stack to the bits of one draw."""
+    for start in range(0, count, _CHUNK):
+        yield row.draw(model, sample_rngs(seed, start, min(start + _CHUNK, count)), what)
+
+
 @lru_cache(maxsize=32)
 def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0) -> np.ndarray:
     """Read-only (count, n, m) array of `count` seeded samples of the given
     kind: row i holds the basis rows (x, y) of a plane, or for a quadruple
     kind the n = 4 rows of a frame with sign labels
-    ``SIGNATURES[kind].options[0]``.
+    ``SIGNATURES[kind].options[0]``.  Row i is drawn from the generator
+    ``sample_rng(seed, i)`` would give; ``sample_rngs`` builds them, and
+    their ``seed_seq`` is a holder of seed words, not a SeedSequence.  The
+    rows are seeded and drawn ``_CHUNK`` at a time, which bounds the live
+    generators and candidate blocks whatever `count` is.
 
     The 32 most recent arrays are cached by their arguments (models compare
     by value); a repeated call returns the same array.
     """
     check_count(count)
     row = SIGNATURES[kind]
-    frames = row.draw(model, [sample_rng(seed, i) for i in range(count)], f"kind {kind.value}")
-    vectors = np.stack([frames[:, list(rows)].sum(axis=1) for rows in row.rows], axis=1)
+    vectors = np.concatenate([
+        np.stack([frames[:, list(rows)].sum(axis=1) for rows in row.rows], axis=1)
+        for frames in _chunk_frames(row, model, seed, count, f"kind {kind.value}")])
     if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
         vectors = np.stack([vectors[:, 0], _j_images(model.cplx, vectors[:, 0])], axis=1)
     vectors.setflags(write=False)
@@ -369,9 +468,9 @@ def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0)
 @lru_cache(maxsize=32)
 def isotropic_vectors(model: ModelPoint, count: int, seed: int = 0) -> np.ndarray:
     """Read-only (count, m) array of seeded isotropic vectors x + a, each from a
-    (+,-) orthonormal pair; cached like ``sample_planes``."""
+    (+,-) orthonormal pair; drawn and cached like ``sample_planes``."""
     check_count(count)
-    rngs = [sample_rng(seed, i) for i in range(count)]
-    vectors = PLUS_MINUS_PAIR.draw(model, rngs, "isotropic vectors").sum(axis=1)  # x + a
+    vectors = np.concatenate([frames.sum(axis=1) for frames in _chunk_frames(
+        PLUS_MINUS_PAIR, model, seed, count, "isotropic vectors")])  # x + a
     vectors.setflags(write=False)
     return vectors

@@ -1,8 +1,10 @@
 """Decisions made in one place, checked on the source: a usage error in the
 CLI is an IsocurvError (``cli.main`` has one handler for it), a signature
-row's sign pick and J flag are applied only by ``planes``, and a sample is
+row's sign pick and J flag are applied only by ``planes``, a sample is
 its array of basis rows: ``diagnostics`` builds no Plane or Frame from it,
-and no wrapper class named PlaneBatch comes back."""
+and no wrapper class named PlaneBatch comes back, and the generators of a
+draw's samples are built in one ``sample_rngs`` call, never by
+``sample_rng`` in a loop."""
 
 import ast
 from pathlib import Path
@@ -50,6 +52,18 @@ def _names(tree: ast.AST, wanted: set) -> list:
     return sorted(found)
 
 
+def _looped_sample_rng(tree: ast.AST) -> list:
+    """Lines that call ``sample_rng``, bare or as an attribute, inside a
+    comprehension or a ``for`` or ``while`` loop."""
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    return sorted({node.lineno for loop in ast.walk(tree) if isinstance(loop, loops)
+                   for node in ast.walk(loop) if isinstance(node, ast.Call)
+                   and (isinstance(node.func, ast.Name) and node.func.id == "sample_rng"
+                        or isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "sample_rng")})
+
+
 def _parse(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"))
 
@@ -92,3 +106,21 @@ def test_detects_what_it_forbids():
     assert _row_decisions(tree) == [6, 7]
     assert _names(tree, {"Plane", "Frame"}) == [10, 11]
     assert _names(tree, {"PlaneBatch"}) == [12, 13]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_sample_generators_come_from_sample_rngs(path):
+    assert _looped_sample_rng(_parse(path)) == []
+
+
+def test_detects_a_looped_sample_rng():
+    tree = ast.parse(
+        "rngs = [sample_rng(seed, i) for i in range(n)]\n"
+        "for i in range(n):\n"
+        "    rng = planes.sample_rng(seed, i)\n"
+        "rng = sample_rng(seed, trial)\n"
+        "rngs = sample_rngs(seed, 0, n)\n"
+        "states = {i: sample_rng(seed, i).bit_generator.state for i in range(n)}\n"
+        "while more:\n"
+        "    draw(sample_rngs(seed, start, stop), sample_rng)\n")
+    assert _looped_sample_rng(tree) == [1, 3, 6]

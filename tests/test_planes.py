@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from isocurv.planes import (
     isotropic_vectors,
     random_frames,
     sample_rng,
+    sample_rngs,
 )
 
 from conftest import oracle_random_frame, pulled_back_hermitian
@@ -447,3 +450,55 @@ class TestSeededSamplers:
             isotropic_vectors(ModelPoint(3, 0), 1)
         with pytest.raises(InvalidSampleCount):
             isotropic_vectors(ModelPoint(3, 1), 0)
+
+
+class TestBatchDraws:
+    """A draw's generators seeded in one pass, candidates tested in growing
+    windows, and large draws made in chunks: the bits of one generator and
+    one candidate at a time."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, -1, -2**63])
+    @pytest.mark.parametrize("start, stop", [(0, 6), (5, 12)], ids=["from-0", "from-5"])
+    def test_sample_rngs_is_the_stream(self, seed, start, stop):
+        # 2**32 and up take two entropy words; negative seeds are folded by the mask
+        rngs = sample_rngs(seed, start, stop)
+        assert len(rngs) == stop - start
+        for j, rng in enumerate(rngs):
+            one = sample_rng(seed, start + j)
+            assert rng.bit_generator.state == one.bit_generator.state
+            assert np.array_equal(rng.uniform(-1.0, 1.0, 3), one.uniform(-1.0, 1.0, 3))
+            assert rng.integers(3) == one.integers(3)
+            assert rng.bit_generator.state == one.bit_generator.state
+        with pytest.raises(ValueError, match="four uint64 words"):
+            rngs[0].bit_generator.seed_seq.generate_state(8)
+
+    @pytest.mark.parametrize("kind", [PlaneKind.STRONGLY_ISOTROPIC,
+                                      PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC])
+    def test_rows_across_a_chunk_boundary(self, h44, kind):
+        # 2100 samples are drawn 1024 at a time; rows 1020..1030 straddle a boundary
+        row = SIGNATURES[kind]
+        batch = sample_planes(h44, kind, 2100, seed=9)
+        options = row.fitting(h44)
+        for i in range(1020, 1031):
+            rng = sample_rng(9, i)
+            signs = options[rng.integers(len(options))] if row.pick_at_random else options[0]
+            frame = random_frames(h44, signs, [rng], antiholomorphic=row.needs_j)[0]
+            assert np.array_equal(batch[i], ORACLE_ASSEMBLY[kind](h44.cplx, frame))
+
+    def test_a_large_draw_holds_one_chunk_of_generators(self, h44):
+        # one live generator and candidate block per sample would peak at about
+        # 14.5 MB here (3.5 KB per row); a chunk of them stays near 6 MB
+        tracemalloc.start()
+        try:
+            batch = sample_planes.__wrapped__(h44, PlaneKind.STRONGLY_ISOTROPIC, 4096, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - batch.nbytes < 8e6
+
+    def test_a_draw_that_runs_out_of_tries(self):
+        # (10,2) leaves almost no spacelike candidates: a +1 vector misses all
+        # of its 10**4 tries, and the window stays capped at the block while it does
+        with pytest.raises(UnsupportedSignature) as info:
+            sample_planes(hermitian_model(12, 10), PlaneKind.WEAKLY_ISOTROPIC, 2, seed=3)
+        assert str(info.value) == "could not realize a frame of signature (1, 1, -1) in (10,2)"
