@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, HybridConditionViolated, IsocurvError, NonFiniteTensor
 from .model import ModelPoint, Tolerance, as_tolerance
-from .planes import PLUS_MINUS_PAIR, check_count, random_frames, sample_rngs
+from .planes import PLUS_MINUS_PAIR, check_count
 from .tensors import (
     check_quad,
     conjugate_riccis,
@@ -252,22 +252,20 @@ def theorem6_identities(model: ModelPoint, R, samples: int = 100, seed: int = 0,
     m = model.dim
     if m % 2 or m < 6:
         raise DimensionMismatch("needs even dimension >= 6")
-    what = "the mixed-pair identity"
-    PLUS_MINUS_PAIR.require(model, what)
     scale = residual_scale(R)
     check_count(samples)
+    # per sample a (+,-) orthonormal pair (y, b); its spacelike unit y is
+    # also the x of identity (13)
+    Y, B = PLUS_MINUS_PAIR.draw(model, seed, samples, "the mixed-pair identity").transpose(1, 0, 2)
     n = m // 2
     rho = ricci(model, R)
     rs = ricci_star(model, R)
     tau = trace_g(model, rho)
     ts = trace_g(model, rs)
 
-    # per sample: a spacelike unit x, then a (+,-) orthonormal pair (y, b)
-    rngs = sample_rngs(seed, 0, samples)
-    X = random_frames(model, (1,), rngs)[:, 0]
-    Y, B = PLUS_MINUS_PAIR.draw(model, rngs, what).transpose(1, 0, 2)
     E = np.eye(m)
-    JE, JX, JY, JB = (A @ J.T for A in (E, X, Y, B))
+    JE, JY, JB = (A @ J.T for A in (E, Y, B))
+    X, JX = Y, JY
 
     # every 4-vector evaluation in one kernel call, split by block below:
     # K(e_i) over the basis, K(x) and R(y,Jy,Jy,b)

@@ -36,7 +36,7 @@ from .canonical import (
     pi1,
 )
 from .errors import DimensionMismatch, InvalidSampleCount, UnsupportedSignature
-from .model import ModelPoint, Tolerance, as_tolerance, inner_rows
+from .model import ModelPoint, Tolerance, as_tolerance
 from .planes import (
     PLUS_MINUS_PAIR,
     SIGNATURES,
@@ -44,10 +44,8 @@ from .planes import (
     Signature,
     check_count,
     isotropic_vectors,
-    random_frames,
     sample_planes,
     sample_rng,
-    sample_rngs,
 )
 from .tensors import (
     bivector_eval,
@@ -397,11 +395,13 @@ def einstein_check(model: ModelPoint, R, count: int = 200, seed: int = 0,
     return equivalence_check(model, R, TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI, count, seed, tol)
 
 
-# where the sampled pairs exist: (+,-) for B, antiholomorphic for C, both for Lemma 1
+# the frames sampled per kind: a (+,-) pair (x, y) and a unit z orthogonal to
+# both for B; an antiholomorphic pair (u, v) for C and Lemma 1, whose first
+# vector is also the x of the holomorphic plane (x, Jx)
 _UNIQUENESS_SIGNATURES = {
-    UniquenessKind.THM_B: PLUS_MINUS_PAIR,
+    UniquenessKind.THM_B: Signature(False, ((1, -1, 1), (1, -1, -1))),
     UniquenessKind.THM_C: SIGNATURES[PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC],
-    UniquenessKind.LEMMA_1: SIGNATURES[PlaneKind.ISOTROPIC_HOLOMORPHIC],
+    UniquenessKind.LEMMA_1: Signature(True, ((1, -1),)),
 }
 
 
@@ -413,26 +413,16 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
     T = check_quad(model, T)
     scale = residual_scale(T)
     check_count(count)
-    row, what = _UNIQUENESS_SIGNATURES[kind], f"{kind.value} sampling"
-    row.require(model, what)  # before Lemma 1 draws its x
-
-    rngs = sample_rngs(seed, 0, count)
+    frames = _UNIQUENESS_SIGNATURES[kind].draw(model, seed, count, f"{kind.value} sampling")
     if kind is UniquenessKind.THM_B:
-        X, Y = row.draw(model, rngs, what).transpose(1, 0, 2)
-        Z = np.stack([rng.uniform(-1.0, 1.0, model.dim) for rng in rngs])
-        Z = (Z - inner_rows(model, Z, X)[:, None] * (X / inner_rows(model, X, X)[:, None])
-             - inner_rows(model, Z, Y)[:, None] * (Y / inner_rows(model, Y, Y)[:, None]))
+        X, Y, Z = frames.transpose(1, 0, 2)
         sides = [_sampled("sampled hypothesis residual", quad_eval_batch(T, X, Y, Z, X), scale,
-                          np.stack([X, Y, Z], axis=1)),
+                          frames),
                  ("constant-curvature residual", _ExactNorms(model, T, scale).const_curv, None)]
     else:
-        J = model.cplx
-        if kind is UniquenessKind.LEMMA_1:
-            X = random_frames(model, (1,), rngs)[:, 0]
-        else:
-            X = np.stack([rng.uniform(-1.0, 1.0, model.dim) for rng in rngs])
-        U, V = row.draw(model, rngs, what).transpose(1, 0, 2)
-        JX, JU = X @ J.T, U @ J.T
+        U, V = frames.transpose(1, 0, 2)
+        JU = U @ model.cplx.T
+        X, JX = U, JU
         # per sample: R(x,Jx,Jx,x) on the holomorphic plane (x, Jx), then
         # R(u,v,v,u) and R(u,Ju,v,u) on the antiholomorphic one (u, v)
         values = np.stack([quad_eval_batch(T, X, JX, JX, X), quad_eval_batch(T, U, V, V, U),

@@ -169,11 +169,6 @@ def inner(model: ModelPoint, x, y) -> float:
     return float(x @ model.metric @ y)
 
 
-def inner_rows(model: ModelPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise x_k^T g y_k, stacked so each has the bits of ``inner`` (X @ g has not)."""
-    return np.vecdot((X[:, None, :] @ model.metric)[:, 0], Y)
-
-
 @dataclass(frozen=True)
 class ComplexStructureReport:
     square_residual: float

@@ -5,15 +5,14 @@ weakly isotropic / strongly isotropic) and, when a complex structure is
 present, by their relation to J (holomorphic: J-invariant; antiholomorphic:
 orthogonal to its J-image).
 
-Sampling is deterministic: sample ``i`` of a call with seed ``k`` draws from
-``sample_rng(k, i)``, that is ``numpy.random.default_rng([k, i])`` (PCG64
-seeded through numpy's SeedSequence mixing), so disjoint consumers can split
-work by sample index.  A draw builds its generators with ``sample_rngs``, in
-one pass with the same states; their ``seed_seq`` is a holder of the seed
-words, not a SeedSequence, and nothing here reads it.  ``SIGNATURES`` says
+Sampling is deterministic and needs no search.  Each kind has fixed basis
+rows, built once per model from ``adapted_basis``, that satisfy its defining
+predicate; sample ``i`` of a draw with seed ``k`` is those rows moved by a
+random g-isometry (a Cayley transform, commuting with J when the kind needs
+J), drawn from a fixed count of doubles of one generator
+``numpy.random.default_rng(k mod 2**63)``.  So sample ``i`` depends only on
+``(k, i)``, and a short draw is a prefix of a long one.  ``SIGNATURES`` says
 where each kind exists.
-Every sampled object satisfies its kind's defining predicate by
-construction, not by rejection near the light cone.
 """
 
 from __future__ import annotations
@@ -29,11 +28,12 @@ from .errors import (
     DegeneratePlane,
     DegenerateSubspace,
     DependentInput,
+    InvalidModel,
     InvalidSampleCount,
     NonFiniteTensor,
     UnsupportedSignature,
 )
-from .model import ModelPoint, Tolerance, as_tolerance, inner, inner_rows
+from .model import ModelPoint, Tolerance, as_tolerance, inner, validate_complex_structure
 from .tensors import check_quad, quad_eval
 
 _SEED_MASK = (1 << 63) - 1
@@ -185,13 +185,52 @@ def sectional_curvature(model: ModelPoint, R, p: Plane, tol=Tolerance()) -> floa
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
+def adapted_basis(model: ModelPoint) -> Frame:
+    """A g-orthonormal basis of the model: ``gram_schmidt_indefinite`` of the
+    eigenvectors of g (g-orthogonal, so none is null), then, with J, re-paired
+    so that rows 2k and 2k + 1 are (e, Je).  The default models give the
+    identity.  A metric whose count of -1 signs is not ``model.index``, or a J
+    that fails ``validate_complex_structure``, raises InvalidModel.  Cached by
+    model; the rows are read-only."""
+    frame = gram_schmidt_indefinite(model, np.linalg.eigh(model.metric)[1].T)
+    if frame.signs.count(-1) != model.index:
+        raise InvalidModel(f"the metric has index {frame.signs.count(-1)}, not {model.index}")
+    if model.has_cplx:
+        report = validate_complex_structure(model)
+        if not report.verdict:
+            raise InvalidModel(f"J fails its axioms: |J^2 + id| = {report.square_residual:.3g},"
+                               f" |J^T g J - g| = {report.compat_residual:.3g}")
+        frame = _pair_with_j(model, frame.vectors)
+    frame.vectors.setflags(write=False)
+    return frame
+
+
+def _pair_with_j(model: ModelPoint, vectors: np.ndarray) -> Frame:
+    """The (e, Je) pairs of a g-orthonormal basis, each e the remaining vector
+    with the largest |g(w,w)| after projecting off the pairs before it."""
+    work, rows, signs = list(vectors), [], []
+    while len(rows) < model.dim:
+        norms = [inner(model, w, w) for w in work]
+        k = int(np.argmax(np.abs(norms)))
+        if abs(norms[k]) <= 1e-9:
+            raise DegenerateSubspace("no (e, Je) pair left with a nonnull e")
+        sgn = 1 if norms[k] > 0 else -1
+        e = work.pop(k) / np.sqrt(abs(norms[k]))
+        for u in (e, model.cplx @ e):
+            rows.append(u)
+            signs.append(sgn)
+            work = [w - sgn * inner(model, w, u) * u for w in work]
+    return Frame(np.stack(rows), tuple(signs))
+
+
 @dataclass(frozen=True)
 class Signature:
     """Where a sampled construction exists: whether it needs J, and its frame
     sign options in order of preference.  ``draw`` takes the first option
-    that fits (see ``least``), or with ``pick_at_random`` draws one from
-    each sample's generator.  For a plane kind, ``rows`` lists the frame rows
-    summed into each basis vector of the sample (four: the sample is a frame)."""
+    that fits (see ``least``), or with ``pick_at_random`` picks one per
+    sample.  For a plane kind, ``rows`` lists the frame rows summed into each
+    basis vector of the sample (four: the sample is a frame)."""
 
     needs_j: bool
     options: tuple  # frame sign tuples
@@ -222,14 +261,27 @@ class Signature:
                 f"{what} impossible for signature ({model.index},{model.dim - model.index}){need}")
         return options
 
-    def draw(self, model: ModelPoint, rngs: list, what: str) -> np.ndarray:
-        """``random_frames`` over `rngs` (antiholomorphic when the row needs J)
-        with the first fitting option, or with ``pick_at_random`` one drawn
-        from each generator; UnsupportedSignature naming `what` when none fits."""
+    def basis_rows(self, model: ModelPoint, signs: tuple) -> np.ndarray:
+        """The fixed (n, m) basis rows of option `signs` in ``adapted_basis``:
+        frame vector j is the next unused basis row of its sign (the next
+        unused (e, Je) pair's e when the row needs J), summed by ``rows``."""
+        basis = adapted_basis(model)
+        eps, step = np.array(basis.signs), 2 if self.needs_j else 1
+        frame = basis.vectors[[np.flatnonzero(eps == s)[step * signs[:j].count(s)]
+                               for j, s in enumerate(signs)]]
+        return frame if self.rows is None else np.stack([frame[list(r)].sum(axis=0)
+                                                         for r in self.rows])
+
+    def draw(self, model: ModelPoint, seed: int, count: int, what: str) -> np.ndarray:
+        """``random_frames`` of `count` samples on the stream with seed `seed`,
+        J-commuting when the row needs J, over the basis rows of the first
+        fitting option, or with ``pick_at_random`` of every fitting option;
+        UnsupportedSignature naming `what` when none fits."""
         options = self.require(model, what)
-        signs = ([options[rng.integers(len(options))] for rng in rngs] if self.pick_at_random
-                 else options[0])
-        return random_frames(model, signs, rngs, antiholomorphic=self.needs_j)
+        rows = np.stack([self.basis_rows(model, signs) for signs in options])
+        return random_frames(model, rows if self.pick_at_random else rows[0],
+                             np.random.default_rng(seed & _SEED_MASK), count,
+                             antiholomorphic=self.needs_j)
 
 
 # One row per plane kind.  x + a is isotropic for a (+,-) pair (x, a), so a
@@ -254,78 +306,9 @@ PLUS_MINUS_PAIR = Signature(False, ((1, -1),))
 
 
 def sample_rng(seed: int, i: int) -> np.random.Generator:
-    """The generator of sample `i` of the stream with seed `seed`: the
-    definition that ``sample_rngs`` builds many of in one pass."""
+    """``numpy.random.default_rng([seed mod 2**63, i])``: the generator of
+    trial `i`'s tensor in ``diagnostics.random_curvature_like``."""
     return np.random.default_rng([seed & _SEED_MASK, i])
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The first `count` values of a SeedSequence hash constant, which starts
-    at `init` and is multiplied by `mult` (mod 2**32) at each use."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-# numpy's SeedSequence, fixed by its stream-compatibility policy (NEP 19).  Its
-# entropy, padded with zero words to 4, loads a pool of 4 words through 4
-# hashmix calls; then each pool word, hashed once per other word, is mixed
-# into the other three (12 calls); 8 hashed pool words are the 4 uint64
-# output words.  Call k of a hash XORs with constant k and multiplies by
-# constant k + 1, so every constant is fixed before any data is seen.
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
-_MIX_CALL = 3 + np.cumsum(~np.eye(4, dtype=bool)).reshape(4, 4)  # [src, dst], src != dst
-_MIX_XOR, _MIX_MUL = _HASH_A[_MIX_CALL], _HASH_A[_MIX_CALL + 1]
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mul
-    return value ^ value >> 16
-
-
-class _SeedWords:
-    """The four uint64 words that ``SeedSequence(...).generate_state(4, np.uint64)``
-    would give PCG64, computed by ``sample_rngs``.  It stands in for the
-    SeedSequence as a generator's ``seed_seq`` (``sample_rngs`` registers it
-    as numpy's ``ISeedSequence``); it cannot spawn, and nothing in isocurv
-    reads it."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a sample generator's seed words are four uint64 words")
-        return self.words
-
-
-def sample_rngs(seed: int, start: int, stop: int) -> list:
-    """``[sample_rng(seed, i) for i in range(start, stop)]``, with the same
-    generator states, seeded in one pass: SeedSequence's uint32 hash runs on
-    all rows at once, and each row's words go to PCG64 through numpy's
-    ``ISeedSequence`` interface, so a generator's ``seed_seq`` is the words
-    holder, not a SeedSequence.  Rows are below 2**32, one entropy word each."""
-    # here, not at import: numpy loads np.random on first use, and only draws need it
-    from numpy.random.bit_generator import ISeedSequence
-    ISeedSequence.register(_SeedWords)  # returns at once when already registered
-    seed &= _SEED_MASK
-    entropy = np.zeros((4, stop - start), dtype=np.uint32)
-    entropy[0], entropy[1] = seed & 0xFFFFFFFF, seed >> 32
-    entropy[1 + (seed >> 32 > 0)] = np.arange(start, stop)  # a seed below 2**32 is one word
-    pool = _hashmix(entropy, _HASH_A[0:4], _HASH_A[1:5])
-    for src in range(4):
-        mixed = _MIX_L * pool - _MIX_R * _hashmix(pool[src], _MIX_XOR[src], _MIX_MUL[src])
-        mixed ^= mixed >> 16
-        mixed[src] = pool[src]
-        pool = mixed
-    state = _hashmix(np.concatenate((pool, pool)), _HASH_B[:8], _HASH_B[1:])
-    rows = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in rows]
 
 
 def _j_images(J: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -333,94 +316,39 @@ def _j_images(J: np.ndarray, U: np.ndarray) -> np.ndarray:
     return (J @ U[..., None])[..., 0]
 
 
-_BLOCK = 32  # candidates a generator draws per call
-_WINDOW = 2  # candidates a row first tests per round at a sign position
-_TRIES = 10 ** 4  # candidates a frame vector may take
+_CHUNK = 1 << 16  # doubles of K a draw holds at once, whatever its count
 
 
-def _unrealized(model, signs) -> UnsupportedSignature:
-    return UnsupportedSignature(
-        f"could not realize a frame of signature {tuple(int(s) for s in signs)}"
-        f" in ({model.index},{model.dim - model.index})")
+def random_frames(model, rows, rng, count, antiholomorphic=False) -> np.ndarray:
+    """(count, n, m) array: sample i is Q_i applied to the (n, m) `rows`, or,
+    for (k, n, m) `rows`, to the rows of option floor(k u_i).  Q_i is the
+    Cayley transform (I - K)^-1 (I + K) of K = g^-1 A, A the antisymmetric
+    part of ``uniform(-1, 1, (m, m))``: a g-isometry.  With
+    ``antiholomorphic`` K is replaced by (K - JKJ) / 2, so Q_i commutes with
+    J and keeps frames made of (e, Je) pairs' e antiholomorphic.  K is scaled
+    to 0.5 sqrt(m) K / (1 + |K|_F), which keeps I - K well conditioned.
 
-
-def random_frames(model, signs, rngs, antiholomorphic=False) -> np.ndarray:
-    """(k, n, m) g-orthonormal frames with the sign labels `signs` (one n-tuple,
-    or one per frame), frame i drawn from ``rngs[i]`` alone.  The frames
-    advance in lockstep, one sign position at a time: each frame takes the
-    candidates ``rng.uniform(-1, 1, m)`` of its generator in order, projects
-    each in two passes off its accepted vectors (and, if ``antiholomorphic``,
-    off their J-images, so all pairs of a frame span antiholomorphic planes)
-    and keeps the first whose |g(v,v)| > 0.2 has the wanted sign.  Signs
-    whose counts of -1 and +1 (doubled when antiholomorphic) exceed (s, m-s)
-    raise UnsupportedSignature before any draw.
-
-    Candidates come ``_BLOCK`` at a time, one ``random`` call per generator
-    whose doubles u give the bits of ``uniform(-1, 1, (_BLOCK, m))`` as
-    2u - 1 (for PCG64 the doubles of as many single draws).  At each sign position a row tests its next
-    ``_WINDOW`` unused candidates in one batch with the other rows, then
-    twice as many each round it misses, up to ``_BLOCK``; it takes at most
-    ``_TRIES`` candidates per position.  On return every generator is where
-    one-at-a-time draws would leave it: back at its entry state, moved on by
-    the doubles of the candidates it used.  Generators from ``sample_rngs``
-    do as well as any: their ``seed_seq`` (a holder of seed words, not a
-    SeedSequence) is never read."""
-    k, m = len(rngs), model.dim
-    want = np.broadcast_to(signs, (k, np.shape(signs)[-1]))
-    frames = np.empty(want.shape + (m,))
-    # need[:, i, j]: the -1 and +1 directions that frame i's first j + 1 vectors take
-    need = (2 if antiholomorphic else 1) * np.cumsum([want < 0, want > 0], axis=2)
-    short = (need[0] > model.index) | (need[1] > m - model.index)
-    if short.any():  # the first frame that cannot fit, at the first position that fails
-        raise _unrealized(model, want[short[:, short.any(axis=0).argmax()].argmax()])
-    states = [rng.bit_generator.state for rng in rngs]
-    block = np.empty((k, _BLOCK, m))
-    pos = np.full(k, _BLOCK)  # each row's next unused candidate in its block
-    used = np.zeros(k, dtype=np.int64)  # candidates taken from each generator
-    slots = np.arange(_BLOCK)
-    basis = []  # (vectors, signs) of the rows each candidate is projected off
-    lost = np.zeros(k, dtype=bool)  # frames that ran out of tries
-    for j in range(want.shape[1]):
-        todo, before = np.arange(k), used.copy()  # candidates used by earlier positions
-        width = _WINDOW  # every row still in todo has missed the same rounds
-        while todo.size:
-            empty = todo[pos[todo] == _BLOCK]
-            for i in empty:
-                rngs[i].random(out=block[i])
-            pos[empty] = 0
-            start = pos[todo]
-            stop = np.minimum(_BLOCK, start + np.minimum(width, _TRIES - (used - before)[todo]))
-            t, s = np.nonzero((slots >= start[:, None]) & (slots < stop[:, None]))
-            rows, V = todo[t], 2.0 * block[todo[t], s] - 1.0  # the bits of uniform(-1, 1)
-            off = [(U[rows], sgn[rows]) for U, sgn in basis]  # gathered once per round
-            for _pass in range(2):
-                for U, sgn in off:
-                    V = V - (sgn * inner_rows(model, V, U))[:, None] * U
-            q = inner_rows(model, V, V)
-            ok = np.zeros((todo.size, _BLOCK), dtype=bool)
-            ok[t, s] = (np.abs(q) > 0.2) & ((q > 0) == (want[rows, j] > 0))
-            hit = ok.any(axis=1)
-            end = np.where(hit, ok.argmax(axis=1) + 1, stop)
-            used[todo] += end - start
-            pos[todo] = end
-            take = np.flatnonzero(hit[t] & (s + 1 == end[t]))  # each hit row's pick
-            frames[rows[take], j] = V[take] / np.sqrt(np.abs(q[take]))[:, None]
-            todo = todo[~hit]
-            spent = (used - before)[todo] >= _TRIES
-            lost[todo[spent]] = True
-            todo = todo[~spent]
-            width = min(2 * width, _BLOCK)
-        if lost.any():
-            break
-        basis.append((frames[:, j], want[:, j]))
+    Sample i reads m^2 doubles of `rng` for A, then u_i when `rows` has
+    options: a fixed count, so it depends only on the generator's state
+    plus i times that count (``PCG64.advance`` reaches it), a longer draw
+    extends a shorter one, and `rng` is left after the last sample's
+    doubles.  Samples are drawn in chunks of at most ``_CHUNK`` doubles of
+    K, each one batched ``np.linalg.solve``."""
+    m, pick = model.dim, rows.ndim == 3
+    per = m * m + pick
+    out = np.empty((count,) + rows.shape[-2:])
+    eye, step = np.eye(m), max(1, _CHUNK // per)
+    for start in range(0, count, step):
+        u = rng.random((min(step, count - start), per))
+        A = (2.0 * u[:, :m * m] - 1.0).reshape(-1, m, m)  # the bits of uniform(-1, 1)
+        K = model.metric_inv @ ((A - A.transpose(0, 2, 1)) / 2.0)
         if antiholomorphic:
-            basis.append((_j_images(model.cplx, frames[:, j]), want[:, j]))
-    for rng, state, n in zip(rngs, states, used.tolist()):
-        rng.bit_generator.state = state
-        rng.bit_generator.random_raw(n * m, output=False)
-    if lost.any():
-        raise _unrealized(model, want[lost.argmax()])
-    return frames
+            K = (K - model.cplx @ K @ model.cplx) / 2.0
+        flat = K.reshape(len(K), -1)
+        K *= (0.5 * math.sqrt(m) / (1.0 + np.sqrt(np.vecdot(flat, flat))))[:, None, None]
+        F = (rows[(u[:, -1] * len(rows)).astype(int)] if pick else rows).swapaxes(-1, -2)
+        out[start:start + len(u)] = np.linalg.solve(eye - K, F + K @ F).swapaxes(1, 2)
+    return out
 
 
 def check_count(count: int) -> None:
@@ -429,36 +357,23 @@ def check_count(count: int) -> None:
         raise InvalidSampleCount(f"need at least one sample, got {count}")
 
 
-_CHUNK = 1024  # samples seeded and drawn together: bounds a draw's generators and blocks
-
-
-def _chunk_frames(row: Signature, model: ModelPoint, seed: int, count: int, what: str):
-    """``row.draw`` over samples 0 .. count - 1 of the stream with seed `seed`,
-    ``_CHUNK`` samples at a time; yields each chunk's frames.  Rows are
-    independent, so the chunks stack to the bits of one draw."""
-    for start in range(0, count, _CHUNK):
-        yield row.draw(model, sample_rngs(seed, start, min(start + _CHUNK, count)), what)
-
-
 @lru_cache(maxsize=32)
 def sample_planes(model: ModelPoint, kind: PlaneKind, count: int, seed: int = 0) -> np.ndarray:
     """Read-only (count, n, m) array of `count` seeded samples of the given
     kind: row i holds the basis rows (x, y) of a plane, or for a quadruple
     kind the n = 4 rows of a frame with sign labels
-    ``SIGNATURES[kind].options[0]``.  Row i is drawn from the generator
-    ``sample_rng(seed, i)`` would give; ``sample_rngs`` builds them, and
-    their ``seed_seq`` is a holder of seed words, not a SeedSequence.  The
-    rows are seeded and drawn ``_CHUNK`` at a time, which bounds the live
-    generators and candidate blocks whatever `count` is.
+    ``SIGNATURES[kind].options[0]``.  Row i is the Cayley isometry Q_i of
+    ``random_frames`` applied to the kind's fixed basis rows
+    (``Signature.basis_rows``), Q_i drawn from the m^2 (+1 for the
+    nondegenerate antiholomorphic kind's option) doubles of PCG64 seeded
+    with `seed` mod 2**63 that follow those of rows 0 .. i - 1; so row i
+    depends on (seed, i) alone, whatever `count` is.
 
     The 32 most recent arrays are cached by their arguments (models compare
     by value); a repeated call returns the same array.
     """
     check_count(count)
-    row = SIGNATURES[kind]
-    vectors = np.concatenate([
-        np.stack([frames[:, list(rows)].sum(axis=1) for rows in row.rows], axis=1)
-        for frames in _chunk_frames(row, model, seed, count, f"kind {kind.value}")])
+    vectors = SIGNATURES[kind].draw(model, seed, count, f"kind {kind.value}")
     if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
         vectors = np.stack([vectors[:, 0], _j_images(model.cplx, vectors[:, 0])], axis=1)
     vectors.setflags(write=False)
@@ -470,7 +385,6 @@ def isotropic_vectors(model: ModelPoint, count: int, seed: int = 0) -> np.ndarra
     """Read-only (count, m) array of seeded isotropic vectors x + a, each from a
     (+,-) orthonormal pair; drawn and cached like ``sample_planes``."""
     check_count(count)
-    vectors = np.concatenate([frames.sum(axis=1) for frames in _chunk_frames(
-        PLUS_MINUS_PAIR, model, seed, count, "isotropic vectors")])  # x + a
+    vectors = PLUS_MINUS_PAIR.draw(model, seed, count, "isotropic vectors").sum(axis=1)
     vectors.setflags(write=False)
     return vectors

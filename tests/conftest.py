@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from isocurv import ModelPoint, hermitian_model, inner
+from isocurv import ModelPoint, hermitian_model
 
 
 def oracle_ricci(model, T):
@@ -179,30 +179,24 @@ def oracle_bochner(g, J, R):
             + (tau - tau_star) * (3.0 * p1 - p2) / (16.0 * (n - 1) * (n - 2)))
 
 
-def oracle_random_frame(model, signs, rng, antiholomorphic=False):
-    """One g-orthonormal frame with sign labels `signs` from one generator, a
-    vector at a time: each candidate rng.uniform(-1, 1, m) is projected in two
-    passes off the accepted vectors (and their J-images when antiholomorphic)
-    with one ``inner`` call per product, and kept when |g(v,v)| > 0.2 has the
-    wanted sign, within the sampler's 10**4 candidates per vector."""
-    frame, basis = [], []
-    for want in signs:
-        for _ in range(10 ** 4):
-            v = rng.uniform(-1.0, 1.0, model.dim)
-            for _pass in range(2):
-                for u, sgn in basis:
-                    v = v - sgn * inner(model, v, u) * u
-            q = inner(model, v, v)
-            if abs(q) > 0.2 and (q > 0) == (want > 0):
-                u = v / np.sqrt(abs(q))
-                frame.append(u)
-                basis.append((u, want))
-                if antiholomorphic:
-                    basis.append((model.cplx @ u, want))
-                break
-        else:
-            raise AssertionError(f"no frame of signature {signs}")
-    return frame
+def oracle_cayley_rows(model, rows, seed, i, antiholomorphic=False):
+    """Sample i of a draw with seed `seed` over the fixed `rows` ((n, m), or
+    (k, n, m) options to pick from), built alone: a generator advanced past
+    the m^2 (+1 with options) doubles of each earlier sample, A =
+    uniform(-1, 1, (m, m)), the pick floor(k u) of one more double, and the
+    Cayley transform inv(I - K) (I + K) written with explicit inverses."""
+    m = model.dim
+    pick = np.ndim(rows) == 3
+    rng = np.random.default_rng(seed % 2**63)
+    rng.bit_generator.advance(i * (m * m + pick))
+    A = rng.uniform(-1.0, 1.0, (m, m))
+    K = np.linalg.inv(model.metric) @ (A - A.T) / 2.0
+    if antiholomorphic:
+        K = (K - model.cplx @ K @ model.cplx) / 2.0
+    K = 0.5 * np.sqrt(m) * K / (1.0 + np.linalg.norm(K))
+    Q = np.linalg.inv(np.eye(m) - K) @ (np.eye(m) + K)
+    F = rows[int(rng.random() * len(rows))] if pick else rows
+    return F @ Q.T
 
 
 def pulled_back_hermitian(m, index, seed=0):

@@ -2,9 +2,9 @@
 CLI is an IsocurvError (``cli.main`` has one handler for it), a signature
 row's sign pick and J flag are applied only by ``planes``, a sample is
 its array of basis rows: ``diagnostics`` builds no Plane or Frame from it,
-and no wrapper class named PlaneBatch comes back, and the generators of a
-draw's samples are built in one ``sample_rngs`` call, never by
-``sample_rng`` in a loop."""
+and no wrapper class named PlaneBatch comes back, a draw's samples come
+from one generator (none is built in a loop or comprehension), and
+``planes`` never reads or rewinds a generator's state."""
 
 import ast
 from pathlib import Path
@@ -52,16 +52,28 @@ def _names(tree: ast.AST, wanted: set) -> list:
     return sorted(found)
 
 
-def _looped_sample_rng(tree: ast.AST) -> list:
-    """Lines that call ``sample_rng``, bare or as an attribute, inside a
-    comprehension or a ``for`` or ``while`` loop."""
+_GENERATORS = {"default_rng", "Generator", "sample_rng"}
+
+
+def _looped_generators(tree: ast.AST) -> list:
+    """Lines that call ``default_rng``, ``Generator`` or ``sample_rng``, bare
+    or as an attribute, inside a comprehension or a ``for`` or ``while``
+    loop."""
     loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
     return sorted({node.lineno for loop in ast.walk(tree) if isinstance(loop, loops)
                    for node in ast.walk(loop) if isinstance(node, ast.Call)
-                   and (isinstance(node.func, ast.Name) and node.func.id == "sample_rng"
+                   and (isinstance(node.func, ast.Name) and node.func.id in _GENERATORS
                         or isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "sample_rng")})
+                        and node.func.attr in _GENERATORS)})
+
+
+def _generator_states(tree: ast.AST) -> list:
+    """Lines that touch ``<...>.bit_generator.state``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "state"
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "bit_generator")
 
 
 def _parse(path: Path) -> ast.AST:
@@ -109,18 +121,26 @@ def test_detects_what_it_forbids():
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_sample_generators_come_from_sample_rngs(path):
-    assert _looped_sample_rng(_parse(path)) == []
+def test_no_generator_is_built_in_a_loop(path):
+    assert _looped_generators(_parse(path)) == []
 
 
-def test_detects_a_looped_sample_rng():
+def test_planes_never_touches_a_generator_state():
+    assert _generator_states(_parse(SRC / "planes.py")) == []
+
+
+def test_detects_looped_generators_and_generator_states():
     tree = ast.parse(
         "rngs = [sample_rng(seed, i) for i in range(n)]\n"
         "for i in range(n):\n"
-        "    rng = planes.sample_rng(seed, i)\n"
+        "    rng = np.random.default_rng([seed, i])\n"
         "rng = sample_rng(seed, trial)\n"
-        "rngs = sample_rngs(seed, 0, n)\n"
-        "states = {i: sample_rng(seed, i).bit_generator.state for i in range(n)}\n"
+        "rng = np.random.default_rng(seed)\n"
+        "gens = {i: Generator(PCG64(i)) for i in range(n)}\n"
         "while more:\n"
-        "    draw(sample_rngs(seed, start, stop), sample_rng)\n")
-    assert _looped_sample_rng(tree) == [1, 3, 6]
+        "    draw(rng, count, sample_rng)\n"
+        "state = rng.bit_generator.state\n"
+        "rngs[0].bit_generator.state = state\n"
+        "rng.bit_generator.advance(n)\n")
+    assert _looped_generators(tree) == [1, 3, 6]
+    assert _generator_states(tree) == [9, 10]

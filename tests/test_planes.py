@@ -19,11 +19,13 @@ from isocurv import (
     pi1,
     sample_planes,
     sectional_curvature,
+    standard_complex_structure,
 )
 from isocurv.errors import (
     DegeneratePlane,
     DegenerateSubspace,
     DependentInput,
+    InvalidModel,
     InvalidSampleCount,
     NonFiniteTensor,
     UnsupportedSignature,
@@ -31,13 +33,14 @@ from isocurv.errors import (
 from isocurv.planes import (
     PLUS_MINUS_PAIR,
     SIGNATURES,
+    Signature,
+    adapted_basis,
     isotropic_vectors,
     random_frames,
     sample_rng,
-    sample_rngs,
 )
 
-from conftest import oracle_random_frame, pulled_back_hermitian
+from conftest import non_diagonal_model, oracle_cayley_rows, pulled_back_hermitian
 
 
 def e(m, i):
@@ -268,113 +271,222 @@ class TestSampleArrays:
             sample_planes(m22, PlaneKind.WEAKLY_ISOTROPIC, count, seed=0)
 
 
-# each kind's sample from its frame (x, y, a, b), written out per kind
-ORACLE_ASSEMBLY = {
-    PlaneKind.WEAKLY_ISOTROPIC: lambda J, f: [f[0] + f[2], f[1]],
-    PlaneKind.STRONGLY_ISOTROPIC: lambda J, f: [f[0] + f[2], f[1] + f[3]],
-    PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC: lambda J, f: [f[1] + f[2], f[0]],
-    PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC: lambda J, f: [f[0] + f[2], f[1] + f[3]],
-    PlaneKind.ISOTROPIC_HOLOMORPHIC: lambda J, f: [f[0] + f[1], J @ (f[0] + f[1])],
-    PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC: lambda J, f: f,
-    PlaneKind.QUADRUPLE_PPMM: lambda J, f: f,
-    PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM: lambda J, f: f,
-}
+ANTIHOLOMORPHIC_KINDS = (PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC,
+                         PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC,
+                         PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC,
+                         PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM)
+MODELS = pytest.mark.parametrize("model", [hermitian_model(8, 4), pulled_back_hermitian(8, 4)],
+                                 ids=["h44", "pulled-back-h44"])
 
 
-class TestLockstepFrames:
-    """The batched sampler against the per-sample oracle in conftest."""
+def option_rows(model, row):
+    """What ``Signature.draw`` moves: the first fitting option's basis rows,
+    or every fitting option's for a row that picks at random."""
+    rows = np.stack([row.basis_rows(model, signs) for signs in row.fitting(model)])
+    return rows if row.pick_at_random else rows[0]
+
+
+def doubles_per_sample(model, rows):
+    return model.dim ** 2 + (rows.ndim == 3)
+
+
+class TestStream:
+    """A draw is one generator seeded with the seed mod 2**63, a fixed count of
+    doubles per sample, and the Cayley isometry of those doubles applied to
+    fixed rows; checked against the one-sample oracle in conftest."""
 
     @pytest.mark.parametrize("kind", list(PlaneKind))
-    @pytest.mark.parametrize("model", [hermitian_model(8, 4), pulled_back_hermitian(8, 4)],
-                             ids=["h44", "pulled-back-h44"])
+    @MODELS
     def test_sample_planes_match_the_oracle(self, model, kind):
         row = SIGNATURES[kind]
-        options = row.fitting(model)
-        expected = []
+        rows = option_rows(model, row)
+        batch = sample_planes(model, kind, 25, seed=2)
         for i in range(25):
-            rng = sample_rng(2, i)
-            signs = options[rng.integers(len(options))] if row.pick_at_random else options[0]
-            frame = oracle_random_frame(model, signs, rng, antiholomorphic=row.needs_j)
-            expected.append(ORACLE_ASSEMBLY[kind](model.cplx, frame))
-        assert np.array_equal(sample_planes(model, kind, 25, seed=2), expected)
-
-    @pytest.mark.parametrize("model", [hermitian_model(8, 4), pulled_back_hermitian(8, 4)],
-                             ids=["h44", "pulled-back-h44"])
-    def test_rows_are_independent(self, model):
-        # mixed per-row signs: row i of the batch is the one-row call on rngs[i]
-        signs = [(1, 1), (1, -1), (-1, -1), (-1, 1)] * 3
-        rngs = [sample_rng(4, i) for i in range(12)]
-        batch = random_frames(model, signs, rngs, antiholomorphic=True)
-        for i, want in enumerate(signs):
-            one = random_frames(model, want, [sample_rng(4, i)], antiholomorphic=True)
-            assert np.array_equal(batch[i], one[0])
-            rng = sample_rng(4, i)
-            oracle = oracle_random_frame(model, want, rng, antiholomorphic=True)
-            assert np.array_equal(batch[i], oracle)
-            assert rngs[i].bit_generator.state == rng.bit_generator.state
+            want = oracle_cayley_rows(model, rows, 2, i, antiholomorphic=row.needs_j)
+            if kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
+                want = np.stack([want[0], model.cplx @ want[0]])
+            assert np.allclose(batch[i], want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
     @pytest.mark.parametrize("row", list(SIGNATURES.values()) + [PLUS_MINUS_PAIR],
                              ids=[k.value for k in SIGNATURES] + ["plus-minus-pair"])
-    @pytest.mark.parametrize("model", [hermitian_model(8, 4), pulled_back_hermitian(8, 4)],
-                             ids=["h44", "pulled-back-h44"])
-    def test_draw_is_random_frames_with_the_oracle_pick(self, model, row):
-        rngs = [sample_rng(2, i) for i in range(25)]
-        options = row.fitting(model)
-        signs = [options[rng.integers(len(options))] if row.pick_at_random else options[0]
-                 for rng in rngs]
-        expected = random_frames(model, signs, rngs, antiholomorphic=row.needs_j)
-        got = row.draw(model, [sample_rng(2, i) for i in range(25)], "a test draw")
-        assert np.array_equal(got, expected)
+    @MODELS
+    def test_rows_are_independent(self, model, row):
+        # row i is the one-sample draw from a generator advanced to row i
+        rows = option_rows(model, row)
+        per = doubles_per_sample(model, rows)
+        batch = row.draw(model, 4, 12, "a test draw")
+        for i in (0, 5, 11):
+            rng = np.random.default_rng(4)
+            rng.bit_generator.advance(i * per)
+            one = random_frames(model, rows, rng, 1, antiholomorphic=row.needs_j)
+            assert np.array_equal(one[0], batch[i])
 
-    @pytest.mark.parametrize("row", list(SIGNATURES.values()) + [PLUS_MINUS_PAIR],
-                             ids=[k.value for k in SIGNATURES] + ["plus-minus-pair"])
-    @pytest.mark.parametrize("model", [hermitian_model(8, 4), pulled_back_hermitian(8, 4)],
-                             ids=["h44", "pulled-back-h44"])
-    def test_draw_leaves_each_generator_where_the_oracle_does(self, model, row):
-        # candidates come in blocks; each generator is rewound to the draws it used
-        options = row.fitting(model)
-        oracle_rngs = [sample_rng(2, i) for i in range(25)]
-        for rng in oracle_rngs:
-            signs = options[rng.integers(len(options))] if row.pick_at_random else options[0]
-            oracle_random_frame(model, signs, rng, antiholomorphic=row.needs_j)
-        rngs = [sample_rng(2, i) for i in range(25)]
-        row.draw(model, rngs, "a test draw")
-        states = [rng.bit_generator.state for rng in rngs]
-        assert states == [rng.bit_generator.state for rng in oracle_rngs]
-        # the pick leaves half of a 64-bit draw buffered; advance() would drop it
-        assert any(state["has_uint32"] for state in states) == row.pick_at_random
+    @pytest.mark.parametrize("row", [SIGNATURES[PlaneKind.WEAKLY_ISOTROPIC],
+                                     SIGNATURES[PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC]],
+                             ids=["fixed-option", "pick-at-random"])
+    @MODELS
+    def test_a_draw_leaves_the_generator_after_its_doubles(self, model, row):
+        rows = option_rows(model, row)
+        rng = np.random.default_rng(7)
+        random_frames(model, rows, rng, 30, antiholomorphic=row.needs_j)
+        fresh = np.random.default_rng(7)
+        fresh.bit_generator.advance(30 * doubles_per_sample(model, rows))
+        assert rng.bit_generator.state == fresh.bit_generator.state
 
-    def test_a_rare_sign_is_drawn_not_unsupported(self):
-        # at h(20,8) a timelike vector off (x, Jx) with x timelike passes 0.5-3%
-        # of the time; sample 6 of this stream needs more than 1000 candidates
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
+    def test_seeds_are_folded_mod_2_63(self, h44, seed):
+        kind = PlaneKind.STRONGLY_ISOTROPIC
+        assert np.array_equal(sample_planes(h44, kind, 5, seed=seed - 2**63),
+                              sample_planes(h44, kind, 5, seed=seed))
+
+    @pytest.mark.parametrize("kind", [PlaneKind.STRONGLY_ISOTROPIC,
+                                      PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC])
+    def test_a_long_draw_extends_a_short_one_across_chunks(self, kind):
+        # at m = 20 a chunk holds 163 (161 with a pick) samples of K
         model = hermitian_model(20, 8)
-        batch = sample_planes(model, PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC, 150,
-                              seed=123456789)
-        rng = sample_rng(123456789, 6)
-        options = SIGNATURES[PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC].fitting(model)
-        signs = options[rng.integers(len(options))]
-        assert signs == (-1, -1)
-        oracle = oracle_random_frame(model, signs, rng, antiholomorphic=True)
-        assert np.array_equal(batch[6], oracle)
-        G = np.einsum("kim,mn,kjn->kij", batch, model.metric, batch)
-        assert np.allclose(np.abs(G), np.eye(2), atol=1e-12)
+        long = sample_planes(model, kind, 700, seed=9)
+        assert np.array_equal(sample_planes(model, kind, 170, seed=9), long[:170])
+        row = SIGNATURES[kind]
+        rows = option_rows(model, row)
+        for i in (160, 162, 163, 500):
+            want = oracle_cayley_rows(model, rows, 9, i, antiholomorphic=row.needs_j)
+            assert np.allclose(long[i], want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
-    @pytest.mark.parametrize("row", list(SIGNATURES.values()) + [PLUS_MINUS_PAIR],
-                             ids=[k.value for k in SIGNATURES] + ["plus-minus-pair"])
-    def test_draw_without_a_fitting_option_consumes_nothing(self, row):
+    def test_draw_without_a_fitting_option_names_what(self):
         model = ModelPoint(4, 0)  # no J and no timelike direction: no row fits
-        rngs = [sample_rng(1, i) for i in range(3)]
-        states = [rng.bit_generator.state for rng in rngs]
-        with pytest.raises(UnsupportedSignature, match="^a test draw impossible "):
-            row.draw(model, rngs, "a test draw")
-        assert [rng.bit_generator.state for rng in rngs] == states
+        for row in list(SIGNATURES.values()) + [PLUS_MINUS_PAIR]:
+            with pytest.raises(UnsupportedSignature, match="^a test draw impossible "):
+                row.draw(model, 1, 3, "a test draw")
 
-    def test_unrealizable_signs_are_unsupported(self, m22):
-        rng = sample_rng(0, 0)
-        state = rng.bit_generator.state
-        with pytest.raises(UnsupportedSignature, match=r"signature \(1, 1, 1\) in \(2,2\)"):
-            random_frames(m22, (1, 1, 1), [rng])
-        assert rng.bit_generator.state == state  # raised before any draw
+
+class TestAdaptedBasis:
+    @pytest.mark.parametrize("model", [ModelPoint(5, 2), hermitian_model(8, 4),
+                                       hermitian_model(12, 6)], ids=["m23", "h44", "h66"])
+    def test_default_models_give_the_identity(self, model):
+        basis = adapted_basis(model)
+        assert np.array_equal(basis.vectors, np.eye(model.dim))
+        assert basis.signs == tuple(np.diag(model.metric).astype(int))
+
+    @pytest.mark.parametrize("model", [
+        pulled_back_hermitian(8, 4), pulled_back_hermitian(6, 2, seed=3),
+        non_diagonal_model(5, 2), ModelPoint(2, 1, metric=[[0.0, 1.0], [1.0, 0.0]]),
+    ], ids=["pulled-back-h44", "pulled-back-h24", "non-diagonal-m23", "null-coordinates"])
+    def test_rows_are_orthonormal_and_j_paired(self, model):
+        basis = adapted_basis(model)
+        P, signs = basis.vectors, np.array(basis.signs)
+        assert np.allclose(P @ model.metric @ P.T, np.diag(signs), atol=1e-12)
+        assert list(signs).count(-1) == model.index
+        if model.has_cplx:
+            assert np.allclose(P[1::2], P[::2] @ model.cplx.T, atol=1e-12)
+
+    def test_a_j_failing_its_axioms_is_a_typed_error(self):
+        model = ModelPoint(8, 4, cplx=2 * standard_complex_structure(8, 4))
+        kind = PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC
+        with pytest.raises(InvalidModel, match="J fails its axioms"):
+            sample_planes(model, kind, 50)
+        with pytest.raises(InvalidModel, match="J fails its axioms"):
+            sample_planes(model, PlaneKind.WEAKLY_ISOTROPIC, 50)
+
+    def test_an_index_the_metric_does_not_have_is_a_typed_error(self):
+        model = ModelPoint(4, 1, metric=np.diag([-1.0, -1.0, 1.0, 1.0]))
+        with pytest.raises(InvalidModel, match="index 2, not 1"):
+            sample_planes(model, PlaneKind.WEAKLY_ISOTROPIC, 5)
+
+
+def _unit_rows(batch):
+    return batch / np.linalg.norm(batch, axis=-1, keepdims=True)
+
+
+def assert_kind_predicate(model, kind, batch, rel=1e-12):
+    """The defining predicate of `kind` on every sample, to `rel` of the
+    Euclidean-unit rows: the rank of the restricted metric (for a quadruple,
+    g-orthonormality with its signs), and J-invariance or orthogonality to
+    the J-images."""
+    g, J = model.metric, model.cplx
+    X = _unit_rows(batch)
+    G = X @ g @ X.swapaxes(1, 2)
+    if kind in (PlaneKind.QUADRUPLE_PPMM, PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM):
+        norms = np.linalg.norm(batch, axis=-1)
+        want = np.diag(SIGNATURES[kind].options[0]) / (norms[:, :, None] * norms[:, None, :])
+        assert np.abs(G - want).max() <= rel
+    else:
+        rank = {PlaneKind.WEAKLY_ISOTROPIC: 1, PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC: 1,
+                PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC: 2}.get(kind, 0)
+        sv = np.linalg.svd(G, compute_uv=False)
+        assert (sv[:, :rank] > rel).all() and (sv[:, rank:] <= rel).all()
+    if kind in ANTIHOLOMORPHIC_KINDS:
+        assert np.abs(X @ g @ J @ X.swapaxes(1, 2)).max() <= rel
+    elif kind is PlaneKind.ISOTROPIC_HOLOMORPHIC:
+        basis = np.linalg.qr(X.swapaxes(1, 2))[0]  # (k, m, 2)
+        JX = J @ X.swapaxes(1, 2)
+        assert np.abs(JX - basis @ (basis.swapaxes(1, 2) @ JX)).max() <= rel
+
+
+class TestLopsidedSignatures:
+    """Every kind draws wherever its row fits, however lopsided the signature,
+    and every sample holds its kind's predicate."""
+
+    @pytest.mark.parametrize("m", [4, 8, 12, 16, 20])
+    def test_every_fitting_kind_draws(self, m):
+        for s in range(0, m + 1, 2):
+            model = hermitian_model(m, s)
+            for kind in PlaneKind:
+                if not SIGNATURES[kind].fitting(model):
+                    with pytest.raises(UnsupportedSignature):
+                        sample_planes(model, kind, 200, seed=3)
+                    continue
+                assert_kind_predicate(model, kind, sample_planes(model, kind, 200, seed=3))
+            if PLUS_MINUS_PAIR.fitting(model):
+                XI = _unit_rows(isotropic_vectors(model, 200, seed=3))
+                assert np.abs(np.einsum("ki,ij,kj->k", XI, model.metric, XI)).max() <= 1e-12
+
+
+def curvature_like_basis(m):
+    """An orthonormal basis (rows) of the curvature-like tensors on R^m: the
+    symmetric products of bivectors, each with its Bianchi cyclic part
+    removed, orthonormalized by one SVD."""
+    a, b = np.triu_indices(m, 1)
+    W = np.zeros((len(a), m, m))
+    W[np.arange(len(a)), a, b], W[np.arange(len(a)), b, a] = 1.0, -1.0
+    p, q = np.triu_indices(len(a))
+    T = np.einsum("pij,pkl->pijkl", W[p], W[q])
+    T = T + T.transpose(0, 3, 4, 1, 2)
+    T = T - (T + T.transpose(0, 2, 3, 1, 4) + T.transpose(0, 3, 1, 2, 4)) / 3.0
+    _, sv, Vt = np.linalg.svd(T.reshape(len(p), -1), full_matrices=False)
+    return Vt[sv > 1e-9 * sv[0]]
+
+
+@pytest.fixture(scope="module")
+def basis8():
+    basis = curvature_like_basis(8)
+    assert basis.shape == (336, 8 ** 4)
+    return basis
+
+
+class TestSampledRank:
+    """The sampled side R(x,y,y,x) over a kind's planes, as a linear map on the
+    curvature-like tensors, reaches the rank of the exact side: its null
+    space is the tensors the theorem's exact criterion accepts."""
+
+    RANKS = {PlaneKind.WEAKLY_ISOTROPIC: 335, PlaneKind.STRONGLY_ISOTROPIC: 300,
+             PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC: 307,
+             PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC: 272,
+             PlaneKind.ISOTROPIC_HOLOMORPHIC: 84}
+
+    @pytest.mark.parametrize("kind", list(RANKS))
+    @MODELS
+    def test_the_sampled_side_spans(self, basis8, model, kind):
+        planes = sample_planes(model, kind, 400)
+        x, y = planes[:, 0], planes[:, 1]
+        rows = np.einsum("ka,kb,kc,kd->kabcd", x, y, y, x).reshape(len(planes), -1) @ basis8.T
+
+        def rank(M):
+            sv = np.linalg.svd(M, compute_uv=False)
+            return int(np.sum(sv > 1e-9 * sv[0]))
+
+        assert rank(rows) == self.RANKS[kind]
+        if kind is not PlaneKind.ISOTROPIC_HOLOMORPHIC:
+            assert rank(rows[:200]) == 200
 
 
 class TestSignatureTable:
@@ -408,17 +520,17 @@ class TestSignatureTable:
 
 
 class TestSeededSamplers:
-    def test_sample_rng_is_the_per_sample_stream(self):
+    def test_sample_rng_is_the_per_trial_stream(self):
         a = sample_rng(5, 3).uniform(size=4)
         assert np.array_equal(a, np.random.default_rng([5, 3]).uniform(size=4))
 
-    def test_isotropic_holomorphic_is_one_antiholomorphic_frame(self, h44):
-        # the plane (x + a, J(x + a)) of the antiholomorphic (+,-) frame (x, a)
-        # drawn from the sample's generator
-        batch = sample_planes(h44, PlaneKind.ISOTROPIC_HOLOMORPHIC, 5, seed=6)
-        for i, (u, v) in enumerate(batch):
-            x, a = random_frames(h44, (1, -1), [sample_rng(6, i)], antiholomorphic=True)[0]
-            assert np.array_equal(u, x + a) and np.array_equal(v, h44.cplx @ (x + a))
+    def test_isotropic_holomorphic_is_a_drawn_row_and_its_j_image(self, h44):
+        # the plane (xi, J xi) of the drawn xi = Q(x + a), with the bits of J @ xi
+        kind = PlaneKind.ISOTROPIC_HOLOMORPHIC
+        batch = sample_planes(h44, kind, 5, seed=6)
+        XI = SIGNATURES[kind].draw(h44, 6, 5, "a test draw")[:, 0]
+        for (u, v), xi in zip(batch, XI):
+            assert np.array_equal(u, xi) and np.array_equal(v, h44.cplx @ xi)
 
     def test_least_signature_comes_from_the_signs(self):
         assert SIGNATURES[PlaneKind.WEAKLY_ISOTROPIC].least == ((1, 2), (2, 1))
@@ -428,7 +540,8 @@ class TestSeededSamplers:
             (0, 4), (2, 2), (4, 0))
 
     def test_random_frame_signs(self, h44):
-        frame = random_frames(h44, (1, -1, -1), [sample_rng(0, 0)], antiholomorphic=True)[0]
+        rows = Signature(True, ((1, -1, -1),)).basis_rows(h44, (1, -1, -1))
+        frame = random_frames(h44, rows, np.random.default_rng(0), 1, antiholomorphic=True)[0]
         G = np.array([[inner(h44, u, v) for v in frame] for u in frame])
         assert np.allclose(G, np.diag([1.0, -1.0, -1.0]), atol=1e-12)
 
@@ -452,42 +565,12 @@ class TestSeededSamplers:
             isotropic_vectors(ModelPoint(3, 1), 0)
 
 
-class TestBatchDraws:
-    """A draw's generators seeded in one pass, candidates tested in growing
-    windows, and large draws made in chunks: the bits of one generator and
-    one candidate at a time."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, -1, -2**63])
-    @pytest.mark.parametrize("start, stop", [(0, 6), (5, 12)], ids=["from-0", "from-5"])
-    def test_sample_rngs_is_the_stream(self, seed, start, stop):
-        # 2**32 and up take two entropy words; negative seeds are folded by the mask
-        rngs = sample_rngs(seed, start, stop)
-        assert len(rngs) == stop - start
-        for j, rng in enumerate(rngs):
-            one = sample_rng(seed, start + j)
-            assert rng.bit_generator.state == one.bit_generator.state
-            assert np.array_equal(rng.uniform(-1.0, 1.0, 3), one.uniform(-1.0, 1.0, 3))
-            assert rng.integers(3) == one.integers(3)
-            assert rng.bit_generator.state == one.bit_generator.state
-        with pytest.raises(ValueError, match="four uint64 words"):
-            rngs[0].bit_generator.seed_seq.generate_state(8)
-
-    @pytest.mark.parametrize("kind", [PlaneKind.STRONGLY_ISOTROPIC,
-                                      PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC])
-    def test_rows_across_a_chunk_boundary(self, h44, kind):
-        # 2100 samples are drawn 1024 at a time; rows 1020..1030 straddle a boundary
-        row = SIGNATURES[kind]
-        batch = sample_planes(h44, kind, 2100, seed=9)
-        options = row.fitting(h44)
-        for i in range(1020, 1031):
-            rng = sample_rng(9, i)
-            signs = options[rng.integers(len(options))] if row.pick_at_random else options[0]
-            frame = random_frames(h44, signs, [rng], antiholomorphic=row.needs_j)[0]
-            assert np.array_equal(batch[i], ORACLE_ASSEMBLY[kind](h44.cplx, frame))
+class TestLargeDraws:
+    """A draw holds one chunk of samples' K at a time, whatever its count."""
 
     def test_a_large_draw_holds_one_chunk_of_generators(self, h44):
-        # one live generator and candidate block per sample would peak at about
-        # 14.5 MB here (3.5 KB per row); a chunk of them stays near 6 MB
+        # K and its temporaries for all 4096 samples at once would pass 8 MB;
+        # a draw holds one chunk of them
         tracemalloc.start()
         try:
             batch = sample_planes.__wrapped__(h44, PlaneKind.STRONGLY_ISOTROPIC, 4096, seed=5)
@@ -496,9 +579,15 @@ class TestBatchDraws:
             tracemalloc.stop()
         assert peak - batch.nbytes < 8e6
 
-    def test_a_draw_that_runs_out_of_tries(self):
-        # (10,2) leaves almost no spacelike candidates: a +1 vector misses all
-        # of its 10**4 tries, and the window stays capped at the block while it does
-        with pytest.raises(UnsupportedSignature) as info:
-            sample_planes(hermitian_model(12, 10), PlaneKind.WEAKLY_ISOTROPIC, 2, seed=3)
-        assert str(info.value) == "could not realize a frame of signature (1, 1, -1) in (10,2)"
+    def test_a_draw_does_not_grow_with_its_count(self):
+        # at m = 20, K alone is 13 MB per 4096 samples
+        model, peaks = hermitian_model(20, 10), []
+        for count in (4096, 8192):
+            tracemalloc.start()
+            try:
+                batch = sample_planes.__wrapped__(model, PlaneKind.STRONGLY_ISOTROPIC, count,
+                                                  seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1] - batch.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
