@@ -339,6 +339,19 @@ class TestStream:
         assert np.array_equal(sample_planes(h44, kind, 5, seed=seed - 2**63),
                               sample_planes(h44, kind, 5, seed=seed))
 
+    @pytest.mark.parametrize("seed", [-2**63, -1, 0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    @pytest.mark.parametrize("kind", [PlaneKind.STRONGLY_ISOTROPIC,
+                                      PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC],
+                             ids=["fixed-option", "pick-at-random"])
+    def test_every_seed_is_the_oracle_stream(self, h44, kind, seed):
+        # 2**32 and up take two entropy words; negative seeds fold to seed % 2**63
+        row = SIGNATURES[kind]
+        rows = option_rows(h44, row)
+        batch = sample_planes(h44, kind, 8, seed=seed)
+        for i in (0, 1, 7):
+            want = oracle_cayley_rows(h44, rows, seed, i, antiholomorphic=row.needs_j)
+            assert np.allclose(batch[i], want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
     @pytest.mark.parametrize("kind", [PlaneKind.STRONGLY_ISOTROPIC,
                                       PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC])
     def test_a_long_draw_extends_a_short_one_across_chunks(self, kind):
