@@ -33,7 +33,14 @@ from .errors import (
     NonFiniteTensor,
     UnsupportedSignature,
 )
-from .model import ModelPoint, Tolerance, as_tolerance, inner, validate_complex_structure
+from .model import (
+    ModelPoint,
+    Tolerance,
+    as_tolerance,
+    inner,
+    standard_complex_structure,
+    validate_complex_structure,
+)
 from .tensors import check_quad, quad_eval
 
 _SEED_MASK = (1 << 63) - 1
@@ -187,41 +194,37 @@ def sectional_curvature(model: ModelPoint, R, p: Plane, tol=Tolerance()) -> floa
 
 @lru_cache(maxsize=32)
 def adapted_basis(model: ModelPoint) -> Frame:
-    """A g-orthonormal basis of the model: ``gram_schmidt_indefinite`` of the
-    eigenvectors of g (g-orthogonal, so none is null), then, with J, re-paired
-    so that rows 2k and 2k + 1 are (e, Je).  The default models give the
-    identity.  A metric whose count of -1 signs is not ``model.index``, or a J
-    that fails ``validate_complex_structure``, raises InvalidModel.  Cached by
-    model; the rows are read-only."""
-    frame = gram_schmidt_indefinite(model, np.linalg.eigh(model.metric)[1].T)
-    if frame.signs.count(-1) != model.index:
-        raise InvalidModel(f"the metric has index {frame.signs.count(-1)}, not {model.index}")
+    """Rows B with B g B^T = diag(signs): the eigenvectors of g, each divided
+    by the root of |its eigenvalue|, or with J the (e, Je) pairs of one pivot
+    loop over them, so that rows 2k and 2k + 1 are (e, Je).  The default
+    models give the identity.  A metric whose count of negative eigenvalues
+    is not ``model.index``, or a J that fails ``validate_complex_structure``,
+    raises InvalidModel.  Cached by model; the rows are read-only."""
+    lam, V = np.linalg.eigh(model.metric)
+    if np.count_nonzero(lam < 0) != model.index:
+        raise InvalidModel(f"the metric has index {np.count_nonzero(lam < 0)}, not {model.index}")
+    work, signs = V.T / np.sqrt(np.abs(lam))[:, None], np.where(lam < 0, -1, 1)
     if model.has_cplx:
         report = validate_complex_structure(model)
         if not report.verdict:
             raise InvalidModel(f"J fails its axioms: |J^2 + id| = {report.square_residual:.3g},"
                                f" |J^T g J - g| = {report.compat_residual:.3g}")
-        frame = _pair_with_j(model, frame.vectors)
+        work, rows, signs = list(work), [], []
+        while len(rows) < model.dim:  # e: the rest's largest |g(w,w)|, off earlier pairs
+            norms = [inner(model, w, w) for w in work]
+            k = int(np.argmax(np.abs(norms)))
+            if abs(norms[k]) <= 1e-9:
+                raise DegenerateSubspace("no (e, Je) pair left with a nonnull e")
+            sgn = 1 if norms[k] > 0 else -1
+            e = work.pop(k) / np.sqrt(abs(norms[k]))
+            for u in (e, model.cplx @ e):
+                rows.append(u)
+                signs.append(sgn)
+                work = [w - sgn * inner(model, w, u) * u for w in work]
+        work = np.stack(rows)
+    frame = Frame(work, signs)
     frame.vectors.setflags(write=False)
     return frame
-
-
-def _pair_with_j(model: ModelPoint, vectors: np.ndarray) -> Frame:
-    """The (e, Je) pairs of a g-orthonormal basis, each e the remaining vector
-    with the largest |g(w,w)| after projecting off the pairs before it."""
-    work, rows, signs = list(vectors), [], []
-    while len(rows) < model.dim:
-        norms = [inner(model, w, w) for w in work]
-        k = int(np.argmax(np.abs(norms)))
-        if abs(norms[k]) <= 1e-9:
-            raise DegenerateSubspace("no (e, Je) pair left with a nonnull e")
-        sgn = 1 if norms[k] > 0 else -1
-        e = work.pop(k) / np.sqrt(abs(norms[k]))
-        for u in (e, model.cplx @ e):
-            rows.append(u)
-            signs.append(sgn)
-            work = [w - sgn * inner(model, w, u) * u for w in work]
-    return Frame(np.stack(rows), tuple(signs))
 
 
 @dataclass(frozen=True)
@@ -262,13 +265,22 @@ class Signature:
         return options
 
     def basis_rows(self, model: ModelPoint, signs: tuple) -> np.ndarray:
-        """The fixed (n, m) basis rows of option `signs` in ``adapted_basis``:
-        frame vector j is the next unused basis row of its sign (the next
-        unused (e, Je) pair's e when the row needs J), summed by ``rows``."""
-        basis = adapted_basis(model)
-        eps, step = np.array(basis.signs), 2 if self.needs_j else 1
-        frame = basis.vectors[[np.flatnonzero(eps == s)[step * signs[:j].count(s)]
-                               for j, s in enumerate(signs)]]
+        """The fixed (n, m) rows of option `signs`, as coordinates over
+        ``adapted_basis``: frame vector j is the next unused basis row of its
+        sign (the e of the next unused (e, Je) pair when the row needs J),
+        summed by ``rows``.  A row that does not need J first turns the basis
+        inside each sign block by one fixed rotation that does not commute
+        with J, so its frame is not made of (e, Je) pairs."""
+        eta, step = np.array(adapted_basis(model).signs), 2 if self.needs_j else 1
+        basis = np.eye(model.dim)
+        if not self.needs_j:
+            # S[i, j] = (i + j + 1) sign(j - i) within a sign block: Q = cayley(S)
+            # is orthogonal, and turns the two blocks by different angles
+            k = np.arange(model.dim)
+            S = np.where(eta[:, None] == eta, np.sign(k - k[:, None]) * (k + k[:, None] + 1), 0.0)
+            basis = _cayley(eta[:, None], S[None], basis)[0].T
+        frame = basis[[np.flatnonzero(eta == s)[step * signs[:j].count(s)]
+                       for j, s in enumerate(signs)]]
         return frame if self.rows is None else np.stack([frame[list(r)].sum(axis=0)
                                                          for r in self.rows])
 
@@ -278,9 +290,9 @@ class Signature:
         fitting option, or with ``pick_at_random`` of every fitting option;
         UnsupportedSignature naming `what` when none fits."""
         options = self.require(model, what)
-        rows = np.stack([self.basis_rows(model, signs) for signs in options])
-        return random_frames(model, rows if self.pick_at_random else rows[0],
-                             np.random.default_rng(seed & _SEED_MASK), count,
+        rows = (np.stack([self.basis_rows(model, signs) for signs in options])
+                if self.pick_at_random else self.basis_rows(model, options[0]))
+        return random_frames(model, rows, np.random.default_rng(seed & _SEED_MASK), count,
                              antiholomorphic=self.needs_j)
 
 
@@ -317,37 +329,52 @@ def _j_images(J: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 _CHUNK = 1 << 16  # doubles of K a draw holds at once, whatever its count
+_REACH = 0.95  # a bound on |K|_2: (1 + 0.95) / (1 - 0.95) = 39
+
+
+def _cayley(eta: np.ndarray, S: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Q F, Q = (I - K)^-1 (I + K), for each antisymmetric S of the (k, m, m)
+    stack and K = _REACH diag(eta) S / b, b = |(S^T S)^4|_inf^(1/8) >= |S|_2
+    (0.92-0.96 of it at m = 4..20): a diag(eta)-isometry with |K|_2 <=
+    _REACH, so |Q|_2, |Q^-1|_2 and cond(I - K) are at most 39."""
+    M = -S @ S  # S^T S, so |S|_2^8 = |M^4|_2 <= |M^4|_inf
+    M = M @ M
+    b = np.abs(M @ M).sum(axis=2).max(axis=1) ** 0.125
+    K = eta * S * np.divide(_REACH, b, out=np.zeros_like(b), where=b > 0)[:, None, None]
+    return np.linalg.solve(np.eye(len(eta)) - K, F + K @ F)
 
 
 def random_frames(model, rows, rng, count, antiholomorphic=False) -> np.ndarray:
     """(count, n, m) array: sample i is Q_i applied to the (n, m) `rows`, or,
-    for (k, n, m) `rows`, to the rows of option floor(k u_i).  Q_i is the
-    Cayley transform (I - K)^-1 (I + K) of K = g^-1 A, A the antisymmetric
-    part of ``uniform(-1, 1, (m, m))``: a g-isometry.  With
-    ``antiholomorphic`` K is replaced by (K - JKJ) / 2, so Q_i commutes with
-    J and keeps frames made of (e, Je) pairs' e antiholomorphic.  K is scaled
-    to 0.5 sqrt(m) K / (1 + |K|_F), which keeps I - K well conditioned.
+    for (k, n, m) `rows`, to the rows of option floor(k u_i); `rows` are
+    coordinates over ``adapted_basis`` B, and the samples are mapped back
+    through B.  In those coordinates g is diag(signs) and J pairs coordinates
+    (2k, 2k + 1).  Q_i is the Cayley transform ``_cayley`` of diag(signs) S,
+    S = A - A^T for A = ``uniform(-1, 1, (m, m))``: a g-isometry.  With
+    ``antiholomorphic`` S is replaced by S - JSJ, so Q_i commutes with J and
+    keeps frames made of (e, Je) pairs' e antiholomorphic.
 
-    Sample i reads m^2 doubles of `rng` for A, then u_i when `rows` has
+    Sample i reads m^2 doubles of `rng` for S, then u_i when `rows` has
     options: a fixed count, so it depends only on the generator's state
     plus i times that count (``PCG64.advance`` reaches it), a longer draw
     extends a shorter one, and `rng` is left after the last sample's
     doubles.  Samples are drawn in chunks of at most ``_CHUNK`` doubles of
-    K, each one batched ``np.linalg.solve``."""
+    S, each one batched ``np.linalg.solve``."""
+    basis = adapted_basis(model)
     m, pick = model.dim, rows.ndim == 3
     per = m * m + pick
+    eta = np.array(basis.signs, dtype=float)[:, None]
     out = np.empty((count,) + rows.shape[-2:])
-    eye, step = np.eye(m), max(1, _CHUNK // per)
+    step = max(1, _CHUNK // per)
     for start in range(0, count, step):
         u = rng.random((min(step, count - start), per))
         A = (2.0 * u[:, :m * m] - 1.0).reshape(-1, m, m)  # the bits of uniform(-1, 1)
-        K = model.metric_inv @ ((A - A.transpose(0, 2, 1)) / 2.0)
+        S = A - A.transpose(0, 2, 1)
         if antiholomorphic:
-            K = (K - model.cplx @ K @ model.cplx) / 2.0
-        flat = K.reshape(len(K), -1)
-        K *= (0.5 * math.sqrt(m) / (1.0 + np.sqrt(np.vecdot(flat, flat))))[:, None, None]
+            J = standard_complex_structure(m, 0)
+            S = S - J @ S @ J
         F = (rows[(u[:, -1] * len(rows)).astype(int)] if pick else rows).swapaxes(-1, -2)
-        out[start:start + len(u)] = np.linalg.solve(eye - K, F + K @ F).swapaxes(1, 2)
+        out[start:start + len(u)] = _cayley(eta, S, F).swapaxes(1, 2) @ basis.vectors
     return out
 
 

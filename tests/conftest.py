@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from isocurv import ModelPoint, hermitian_model
+from isocurv.planes import adapted_basis
 
 
 def oracle_ricci(model, T):
@@ -180,23 +181,29 @@ def oracle_bochner(g, J, R):
 
 
 def oracle_cayley_rows(model, rows, seed, i, antiholomorphic=False):
-    """Sample i of a draw with seed `seed` over the fixed `rows` ((n, m), or
-    (k, n, m) options to pick from), built alone: a generator advanced past
-    the m^2 (+1 with options) doubles of each earlier sample, A =
-    uniform(-1, 1, (m, m)), the pick floor(k u) of one more double, and the
-    Cayley transform inv(I - K) (I + K) written with explicit inverses."""
+    """Sample i of a draw with seed `seed` over the fixed `rows` (coordinates
+    over ``adapted_basis``; (n, m), or (k, n, m) options to pick from), built
+    alone: a generator advanced past the m^2 (+1 with options) doubles of each
+    earlier sample, A = uniform(-1, 1, (m, m)), the pick floor(k u) of one
+    more double, S = A - A^T (S - JSJ when antiholomorphic, J pairing
+    coordinates (2k, 2k + 1)), K = 0.95 diag(signs) S / |(S^T S)^4|_inf^(1/8),
+    and the Cayley transform inv(I - K) (I + K) written with explicit
+    inverses, mapped through the adapted basis."""
+    basis = adapted_basis(model)
     m = model.dim
     pick = np.ndim(rows) == 3
     rng = np.random.default_rng(seed % 2**63)
     rng.bit_generator.advance(i * (m * m + pick))
     A = rng.uniform(-1.0, 1.0, (m, m))
-    K = np.linalg.inv(model.metric) @ (A - A.T) / 2.0
+    S = A - A.T
     if antiholomorphic:
-        K = (K - model.cplx @ K @ model.cplx) / 2.0
-    K = 0.5 * np.sqrt(m) * K / (1.0 + np.linalg.norm(K))
+        J = np.kron(np.eye(m // 2), [[0.0, -1.0], [1.0, 0.0]])
+        S = S - J @ S @ J
+    bound = np.linalg.norm(np.linalg.matrix_power(S.T @ S, 4), np.inf) ** 0.125
+    K = 0.95 * np.diag(basis.signs) @ S / bound
     Q = np.linalg.inv(np.eye(m) - K) @ (np.eye(m) + K)
     F = rows[int(rng.random() * len(rows))] if pick else rows
-    return F @ Q.T
+    return F @ Q.T @ basis.vectors
 
 
 def pulled_back_hermitian(m, index, seed=0):

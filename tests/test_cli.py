@@ -289,14 +289,14 @@ class TestDiagnose:
 
 class TestDiagnoseWitness:
     """The JSON report's "witness": the basis rows of the worst sample when
-    the verdict is inconsistent, null otherwise.  pi1 + 7e-10 D on (2,2) is
+    the verdict is inconsistent, null otherwise.  pi1 + 1e-10 D on (2,2) is
     near flat, so its sampled sides fail where the exact sides pass."""
 
     @staticmethod
     def report(tmp_path, theorem):
         model = ModelPoint(4, 2)
         D = random_curvature_like(model, 3)
-        R = pi1(model) + 7e-10 * D / np.max(np.abs(D))
+        R = pi1(model) + 1e-10 * D / np.max(np.abs(D))
         doc_path, rep_path = tmp_path / "near.json", tmp_path / "rep.json"
         save_document(TensorDocument(model, {"R": R}), doc_path)
         code = run("diagnose", str(doc_path), "--tensor", "R", "--theorem", theorem,

@@ -192,11 +192,11 @@ class TestPairRowsBuiltOncePerRequest:
 
 class TestWitnesses:
     """A failing report's witness is the (n, m) basis rows of its worst sample,
-    as ``diagnose --json`` prints them.  At tol 1.2 every sampled side of this
+    as ``diagnose --json`` prints them.  At tol 2 every sampled side of this
     tensor fails and every exact side passes; Thm5's two sampled sides fail
     together, as do Lemma2's."""
 
-    R, TOL = random_curvature_like(hermitian_model(8, 4), 0), 1.2
+    R, TOL = random_curvature_like(hermitian_model(8, 4), 0), 2.0
     QUADRUPLES = (PlaneKind.QUADRUPLE_PPMM, PlaneKind.ANTIHOLOMORPHIC_QUADRUPLE_PPMM)
 
     def scaled(self, value):
@@ -222,7 +222,7 @@ class TestWitnesses:
         doc_path, rep_path = tmp_path / "R.json", tmp_path / "rep.json"
         save_document(TensorDocument(h44, {"R": self.R}), doc_path)
         code = main(["diagnose", str(doc_path), "--tensor", "R", "--theorem", tid.value,
-                     "--samples", "20", "--tol", str(self.TOL), "--json", str(rep_path)])
+                     "--samples", "20", "--tol", "2", "--json", str(rep_path)])
         assert code == (0 if rep.verdict else 1)
         payload = json.loads(rep_path.read_text())
         if tid in (TheoremId.THM_5_WEAK_ISO_ANTIHOL, TheoremId.LEMMA_2_EQUIV):
@@ -264,28 +264,18 @@ class TestWitnesses:
                          self.scaled(quad_eval(self.R, x, J @ x, y, x)))
             assert replay == pytest.approx(rep.max_residual, rel=1e-12)
 
-    @pytest.mark.parametrize("check", [
-        lambda model, seed, tol: einstein_check(model, random_curvature_like(model, 1), 1, seed,
-                                                tol),
-        lambda model, seed, tol: uniqueness_check(model, UniquenessKind.THM_B,
-                                                  random_curvature_like(model, 0), 1, seed, tol),
-        lambda model, seed, tol: equivalence_check(model, random_curvature_like(model, 14),
-                                                   TheoremId.THM_2_QUADRUPLES, 1, seed, tol),
-    ], ids=["einstein", "ThmB", "Thm2"])
-    def test_exact_only_failure_has_no_witness(self, m22, check):
-        # one sample whose sampled sides all fall below the exact side, and a
-        # tolerance between them
-        for seed in range(100):
-            notes = check(m22, seed, 1e-9).side_notes
-            *sampled, exact = (float(n.split("residual ")[1].split()[0]) for n in notes)
-            if max(sampled) < 0.9 * exact:
-                break
-        else:
-            pytest.fail("no seed in 0..99 puts the sampled sides below the exact side")
-        rep = check(m22, seed, (max(sampled) * exact) ** 0.5)
-        assert not rep.verdict and rep.witness is None
-        assert rep.side_notes[-1].endswith("fail")
-        assert all(n.endswith("pass") for n in rep.side_notes[:-1])
+    def test_exact_only_failure_has_no_witness(self, m22):
+        def R(seed):
+            return random_curvature_like(m22, seed)
+
+        # each draw seed gives one sample on which every sampled side passes
+        for rep in (einstein_check(m22, R(1), 1, seed=4, tol=0.1),
+                    uniqueness_check(m22, UniquenessKind.THM_B, R(0), 1, seed=5, tol=0.48065),
+                    equivalence_check(m22, R(14), TheoremId.THM_2_QUADRUPLES, 1, seed=31,
+                                      tol=0.44785)):
+            assert not rep.verdict and rep.witness is None
+            assert rep.side_notes[-1].endswith("fail")
+            assert all(n.endswith("pass") for n in rep.side_notes[:-1])
 
 
 class TestEquivalence:

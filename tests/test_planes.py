@@ -333,12 +333,6 @@ class TestStream:
         fresh.bit_generator.advance(30 * doubles_per_sample(model, rows))
         assert rng.bit_generator.state == fresh.bit_generator.state
 
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
-    def test_seeds_are_folded_mod_2_63(self, h44, seed):
-        kind = PlaneKind.STRONGLY_ISOTROPIC
-        assert np.array_equal(sample_planes(h44, kind, 5, seed=seed - 2**63),
-                              sample_planes(h44, kind, 5, seed=seed))
-
     @pytest.mark.parametrize("seed", [-2**63, -1, 0, 1, 2**32 - 1, 2**32, 2**63 - 1])
     @pytest.mark.parametrize("kind", [PlaneKind.STRONGLY_ISOTROPIC,
                                       PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC],
@@ -576,6 +570,24 @@ class TestSeededSamplers:
             isotropic_vectors(ModelPoint(3, 0), 1)
         with pytest.raises(InvalidSampleCount):
             isotropic_vectors(ModelPoint(3, 1), 0)
+
+
+class TestBoundedIsometries:
+    """K is scaled to spectral norm at most 0.95, so every Cayley isometry Q
+    and its inverse have spectral norm at most (1 + 0.95) / (1 - 0.95) = 39,
+    however the doubles fall: on the identity rows a sample is Q^T itself.
+    On (1,1) the bound on |K|_2 is exact, so every Q there reaches 39."""
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 12, 16, 20])
+    def test_every_isometry_is_bounded(self, m):
+        for model, antiholomorphic in ((ModelPoint(m, m // 2), False),
+                                       (hermitian_model(m, 2 * (m // 4)), True)):
+            Q = random_frames(model, np.eye(m), np.random.default_rng(m), 500,
+                              antiholomorphic=antiholomorphic)
+            sv = np.linalg.svd(Q, compute_uv=False)
+            assert sv.max() <= 39.0 * (1 + 1e-12) and sv.min() >= (1 - 1e-12) / 39.0
+            eta = np.diag(adapted_basis(model).signs)
+            assert np.allclose(Q @ eta @ Q.swapaxes(1, 2), eta, rtol=0, atol=1e-12 * 39 ** 2)
 
 
 class TestLargeDraws:
