@@ -1,24 +1,35 @@
 """Tensor document files: JSON serialization of a model plus named tensors.
 
 Layout: {"dim": m, "index": s, "metric": [[...]]?, "J": [[...]]?,
-"tensors": {"name": [m^4 floats, row-major over (i,j,k,l)]}, "meta": {...}}.
-A document is written as compact JSON with sorted keys on one line, ending
-in a newline; any other whitespace, such as the indented layout of older
-documents, loads the same.  Floats are written with Python's shortest
-round-trip repr (at most 17 significant digits), so write-then-read is
-bit-exact.  Saving a tensor with a NaN or infinite component raises
-NonFiniteTensor and writes nothing: JSON has no such numbers.
+"tensors": {"name": {"dtype": "<f8", "shape": [m, m, m, m], "base64": "..."}},
+"meta": {...}}.  A tensor's "base64" is the standard base64 (with padding)
+of its m^4 little-endian IEEE doubles in row-major order over (i,j,k,l), so
+write-then-read is bit-exact by construction and no component becomes a
+Python float on the way.  The metric and J stay JSON lists, whose floats
+are written with Python's shortest round-trip repr (at most 17 significant
+digits), also bit-exact.  A document is written as compact JSON with sorted
+keys on one line, ending in a newline.
+
+Older documents store each tensor as a JSON list of m^4 numbers, row-major
+over (i,j,k,l), and are often indented; they load the same.  Saving a tensor
+whose shape is not (m, m, m, m) raises DimensionMismatch, a complex one
+InvalidDocument, and one with a NaN or infinite component NonFiniteTensor;
+either way nothing is written.  Loading rejects the same tensors, and any
+malformed payload, with InvalidDocument.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDocument, NonFiniteTensor
+from .errors import DimensionMismatch, InvalidDocument, NonFiniteTensor
 from .model import ModelPoint, validate_complex_structure
+
+DTYPE = "<f8"
 
 
 @dataclass
@@ -33,17 +44,27 @@ class TensorDocument:
         return self.tensors[name]
 
 
+def _payload(T) -> dict:
+    arr = np.asarray(T, dtype=DTYPE)
+    return {"dtype": DTYPE, "shape": list(arr.shape),
+            "base64": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
 def save_document(doc: TensorDocument, path) -> None:
+    m = doc.model
     for name, T in doc.tensors.items():
+        if np.shape(T) != (m.dim,) * 4:
+            raise DimensionMismatch(f"tensor {name!r} has shape {np.shape(T)}, "
+                                    f"expected {(m.dim,) * 4}")
+        if np.iscomplexobj(T):  # a cast to "<f8" would drop the imaginary part
+            raise InvalidDocument(f"tensor {name!r} has complex components")
         if not np.all(np.isfinite(T)):
             raise NonFiniteTensor(f"tensor {name!r} has NaN or infinite components")
-    m = doc.model
     obj = {
         "dim": m.dim,
         "index": m.index,
         "metric": m.metric.tolist(),
-        "tensors": {name: np.asarray(T).reshape(-1).tolist()
-                    for name, T in sorted(doc.tensors.items())},
+        "tensors": {name: _payload(T) for name, T in sorted(doc.tensors.items())},
         "meta": doc.meta,
     }
     if m.has_cplx:
@@ -75,6 +96,31 @@ def _numeric(value, what: str) -> np.ndarray:
         raise InvalidDocument(f"{what} has an integer too large for a float") from exc
 
 
+def _decoded(entry: dict, what: str, dim: int) -> np.ndarray:
+    """The float array of a base64 payload.  Its dtype, shape and string
+    length are checked before anything is decoded, so a large declared `dim`
+    costs nothing unless the file holds that many bytes."""
+    shape = entry.get("shape")
+    if entry.get("dtype") != DTYPE:
+        raise InvalidDocument(f"{what} needs dtype {DTYPE!r}, not {entry.get('dtype')!r}")
+    if shape != [dim] * 4 or not all(type(n) is int for n in shape):
+        raise InvalidDocument(f"{what} has shape {shape!r}, expected {[dim] * 4}")
+    text = entry.get("base64")
+    if type(text) is not str:
+        raise InvalidDocument(f"{what} needs a 'base64' string")
+    nbytes = 8 * dim ** 4
+    chars = 4 * -(-nbytes // 3)  # padded to whole 4-character groups
+    if len(text) != chars:
+        raise InvalidDocument(f"{what} has {len(text)} base64 characters, expected {chars}")
+    try:
+        raw = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
+    except ValueError as exc:
+        raise InvalidDocument(f"{what} is not valid base64: {exc}") from exc
+    if len(raw) != nbytes:
+        raise InvalidDocument(f"{what} decodes to {len(raw)} bytes, expected {nbytes}")
+    return np.frombuffer(raw, DTYPE).astype(float)
+
+
 def load_document(path) -> TensorDocument:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -89,14 +135,18 @@ def load_document(path) -> TensorDocument:
     # tensors first: their sizes check 'dim' before the model spends dim^2 memory on it
     entries = obj.get("tensors", {})
     if not isinstance(entries, dict):
-        raise InvalidDocument("'tensors' must map names to component lists")
+        raise InvalidDocument("'tensors' must map names to component lists or payloads")
     tensors = {}
-    for name, flat in entries.items():
-        arr = _numeric(flat, f"tensor {name!r}")
-        if arr.size != dim ** 4:
-            raise InvalidDocument(f"tensor {name!r} has {arr.size} components, expected {dim ** 4}")
+    for name, entry in entries.items():
+        what = f"tensor {name!r}"
+        if isinstance(entry, dict):
+            arr = _decoded(entry, what, dim)
+        else:
+            arr = _numeric(entry, what)
+            if arr.size != dim ** 4:
+                raise InvalidDocument(f"{what} has {arr.size} components, expected {dim ** 4}")
         if not np.all(np.isfinite(arr)):
-            raise InvalidDocument(f"tensor {name!r} has NaN or infinite components")
+            raise InvalidDocument(f"{what} has NaN or infinite components")
         tensors[name] = arr.reshape((dim,) * 4)
     metric = _numeric(obj["metric"], "'metric'") if "metric" in obj else None
     cplx = _numeric(obj["J"], "'J'") if "J" in obj else None

@@ -4,7 +4,9 @@ The oracle functions here deliberately use explicit basis loops instead of
 einsum so they stay independent of the library's contraction paths.
 """
 
+import base64
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -224,8 +226,16 @@ def non_diagonal_model(m, index, seed=0):
     return ModelPoint(m, index, metric=A.T @ np.diag(eps) @ A)
 
 
+def tensor_payload(flat, dim):
+    """The payload object of a tensor with components `flat` (row-major) at
+    dimension `dim`, packed double by double with ``struct``."""
+    text = base64.b64encode(struct.pack(f"<{len(flat)}d", *flat)).decode("ascii")
+    return {"dtype": "<f8", "shape": [dim] * 4, "base64": text}
+
+
 def document_object(doc):
-    """The JSON object that ``save_document`` writes for `doc`."""
+    """The JSON object of `doc` in the list layout of older documents, with
+    each tensor a flat list of its components."""
     model = doc.model
     obj = {"dim": model.dim, "index": model.index, "metric": model.metric.tolist(),
            "tensors": {name: np.asarray(T).reshape(-1).tolist() for name, T in doc.tensors.items()},

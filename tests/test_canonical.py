@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isocurv import (
@@ -268,12 +268,25 @@ def _pullback(T, A):
     return T
 
 
+def _pullback_rel(g):
+    """The relative tolerance for a quantity computed on the model pulled
+    back to metric g.  Rounding in the pulled-back metric and J grows with
+    the square of g's condition number |g|_F |g^-1|_F (ModelPoint's measure,
+    at least m).  Over 4800 draws of the naturality tests' A every derived
+    tensor stayed within 5e-17 cond^2 (the worst at seed 1356), and over 5400
+    draws the space-form fits within 1.6e-17 cond^2.  At the median cond, 18,
+    this tolerance is 3e-13."""
+    return 1e-15 * (np.linalg.norm(g) * np.linalg.norm(np.linalg.inv(g))) ** 2
+
+
 class TestNaturality:
     """For the model pulled back by A (metric A^T g A, J = A^-1 J A), the
     derived tensors of A*R are A* of the derived tensors of R."""
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(6, 2), (8, 4)]))
+    @example(seed=1356, dims=(8, 4))
+    @example(seed=47812, dims=(8, 4))
     def test_bochner_and_conformal_commute_with_pullback(self, seed, dims):
         base = hermitian_model(*dims)
         rng = np.random.default_rng(seed)
@@ -281,12 +294,15 @@ class TestNaturality:
         pulled = ModelPoint(base.dim, base.index, metric=A.T @ base.metric @ A,
                             cplx=np.linalg.solve(A, base.cplx @ A))
         R = random_curvature_like(base, seed % 1000)
+        rel = _pullback_rel(pulled.metric)
         for derived in (bochner, conformal, ricci, ricci_star):
             want = _pullback(derived(base, R), A)
-            assert _close(derived(pulled, _pullback(R, A)), want, rel=1e-10)
+            assert _close(derived(pulled, _pullback(R, A)), want, rel=rel)
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(6, 2), (8, 4)]))
+    @example(seed=566835038, dims=(8, 4))
+    @example(seed=2516376304, dims=(8, 4))
     def test_space_form_fits_commute_with_pullback(self, seed, dims):
         # a perturbed space form: kappa (the nu_hat of the model without J),
         # nu_hat and mu_hat are the same numbers on both models
@@ -297,9 +313,10 @@ class TestNaturality:
         pulled = ModelPoint(base.dim, base.index, metric=g, cplx=np.linalg.solve(A, base.cplx @ A))
         R = build_space_form(base, 0.5, 2.0) + 1e-3 * random_curvature_like(base, seed % 1000)
         RA = _pullback(R, A)
+        rel = _pullback_rel(g)
         for want, got in ((flatness_norms(base, R), flatness_norms(pulled, RA)),
                           (flatness_norms(ModelPoint(*dims), R),
                            flatness_norms(ModelPoint(*dims, metric=g), RA))):
-            assert got.nu_hat == pytest.approx(want.nu_hat, rel=1e-9)
+            assert got.nu_hat == pytest.approx(want.nu_hat, rel=rel)
             if want.mu_hat is not None:
-                assert got.mu_hat == pytest.approx(want.mu_hat, rel=1e-9)
+                assert got.mu_hat == pytest.approx(want.mu_hat, rel=rel)

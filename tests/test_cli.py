@@ -18,7 +18,7 @@ from isocurv import (
 from isocurv.cli import main
 from isocurv.diagnostics import random_curvature_like
 
-from conftest import write_indented_document
+from conftest import tensor_payload, write_indented_document
 
 
 def run(*argv):
@@ -539,6 +539,62 @@ class TestHugeIntegerDocument:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _payload(**fields):
+    """The zero tensor's payload at dim 4, with `fields` replacing its own
+    and a field set to None left out."""
+    entry = {**tensor_payload([0.0] * 256, 4), **fields}
+    return {key: value for key, value in entry.items() if value is not None}
+
+
+ZEROS = tensor_payload([0.0] * 256, 4)["base64"]
+
+
+class TestMalformedPayload:
+    @pytest.mark.parametrize("entry", [
+        _payload(base64="!" + ZEROS[1:]),
+        _payload(base64="-" + ZEROS[1:]),
+        _payload(base64=" " + ZEROS[1:]),
+        _payload(base64="\u00e9" + ZEROS[1:]),
+        _payload(base64="AA=A" + ZEROS[4:]),
+        _payload(base64=ZEROS[:-1] + "A"),
+        _payload(base64=ZEROS[:-4]),
+        _payload(base64=ZEROS + "AAAA"),
+        _payload(dtype=">f8"),
+        _payload(dtype="<f4"),
+        _payload(shape=[4, 4, 4, 2]),
+        _payload(shape=[4, 4, 4]),
+        _payload(shape=[4.0, 4, 4, 4]),
+        _payload(shape="4444"),
+        _payload(base64=list(ZEROS)),
+        _payload(base64=0),
+        _payload(dtype=None),
+        _payload(shape=None),
+        _payload(base64=None),
+        tensor_payload([0.0] * 5 + [float("nan")] + [0.0] * 250, 4),
+        tensor_payload([0.0] * 5 + [float("inf")] + [0.0] * 250, 4),
+        tensor_payload([0.0] * 5 + [float("-inf")] + [0.0] * 250, 4),
+    ], ids=["bang", "urlsafe-dash", "space", "non-ascii", "inner-padding", "no-padding",
+            "short", "long", "big-endian", "float32", "wrong-shape", "three-axes",
+            "float-in-shape", "string-shape", "list-base64", "number-base64", "no-dtype",
+            "no-shape", "no-base64", "nan", "inf", "minus-inf"])
+    def test_invalid_document(self, tmp_path, capsys, entry):
+        from isocurv.errors import InvalidDocument
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 4, "index": 2, "tensors": {"R": entry}}))
+        with pytest.raises(InvalidDocument):
+            load_document(path)
+        assert run("diagnose", str(path), "--tensor", "R", "--theorem", "flatness") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_the_unchanged_payload_loads(self, tmp_path):
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps({"dim": 4, "index": 2, "tensors": {"R": _payload()}}))
+        T = load_document(path).tensor("R")
+        assert T.shape == (4,) * 4 and not T.any() and not np.signbit(T).any()
+
+
 class TestHugeDimension:
     # a declared dim far past the tensors' sizes: rejected before the model
     # spends dim^2 memory on it
@@ -554,6 +610,22 @@ class TestHugeDimension:
             load_document(path)
         assert run("diagnose", str(path), "--tensor", "R", "--theorem", "flatness") == 2
         assert capsys.readouterr().err.startswith("error: tensor 'R' has 1 components")
+        assert built == []
+
+    def test_payload_rejected_before_the_model_is_built(self, tmp_path, capsys, monkeypatch):
+        import isocurv.docio as docio
+        from isocurv.errors import InvalidDocument
+
+        built = []
+        monkeypatch.setattr(docio, "ModelPoint", lambda *a, **k: built.append(a))
+        path = tmp_path / "huge-dim.json"
+        path.write_text(json.dumps({"dim": 1500, "index": 2, "tensors": {
+            "R": {"dtype": "<f8", "shape": [1500] * 4, "base64": "AAAAAAAAAAA="}}}))
+        expected = 4 * -(-8 * 1500 ** 4 // 3)
+        with pytest.raises(InvalidDocument, match=f"has 12 base64 characters, expected {expected}$"):
+            load_document(path)
+        assert run("diagnose", str(path), "--tensor", "R", "--theorem", "flatness") == 2
+        assert capsys.readouterr().err.startswith("error: tensor 'R' has 12 base64 characters")
         assert built == []
 
 

@@ -1,16 +1,20 @@
 """Tensor documents: compact single-line JSON written through the C encoder,
-bit-exact round trips, the older indented layout, and non-finite tensors."""
+base64 tensor payloads, bit-exact round trips, the older list layout
+(indented), wrong shapes, non-finite tensors and traced memory."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from isocurv import ModelPoint, TensorDocument, hermitian_model, load_document, save_document
+from isocurv import (ModelPoint, TensorDocument, build_space_form, hermitian_model,
+                     load_document, save_document)
 from isocurv.diagnostics import random_curvature_like
-from isocurv.errors import NonFiniteTensor
+from isocurv.errors import DimensionMismatch, InvalidDocument, NonFiniteTensor
 
-from conftest import document_object, write_indented_document
+from conftest import document_object, tensor_payload, write_indented_document
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
                1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0,
@@ -73,7 +77,25 @@ class TestLayout:
         save_document(doc, path)
         text = path.read_text(encoding="utf-8")
         assert text.endswith("\n") and text.count("\n") == 1
-        assert json.loads(text) == document_object(doc)
+        expected = document_object(doc)
+        expected["tensors"] = {name: tensor_payload(T.reshape(-1).tolist(), 6)
+                               for name, T in doc.tensors.items()}
+        assert json.loads(text) == expected
+
+    @pytest.mark.parametrize("make", [edge_document, lambda: TensorDocument(
+        hermitian_model(8, 4), {"R": random_curvature_like(hermitian_model(8, 4), 5)})],
+        ids=["edge", "curvature-like"])
+    def test_list_and_payload_layouts_load_the_same(self, tmp_path, make):
+        doc = make()
+        save_document(doc, tmp_path / "payload.json")
+        write_indented_document(doc, tmp_path / "list.json")
+        payload, listed = (load_document(tmp_path / f) for f in ("payload.json", "list.json"))
+        assert "base64" in (tmp_path / "payload.json").read_text(encoding="utf-8")
+        assert payload.tensors.keys() == listed.tensors.keys() == doc.tensors.keys()
+        for name, T in payload.tensors.items():
+            assert T.dtype == listed.tensor(name).dtype == np.float64
+            assert T.flags.writeable and T.flags.c_contiguous
+            assert T.tobytes() == listed.tensor(name).tobytes() == doc.tensor(name).tobytes()
 
     def test_one_pass_of_the_c_encoder(self, tmp_path, monkeypatch):
         # json.encoder looks c_make_encoder up when it encodes.  The
@@ -92,6 +114,25 @@ class TestLayout:
         save_document(TensorDocument(model, {"R": random_curvature_like(model, 2)}),
                       tmp_path / "doc.json")
         assert len(calls) == 1
+
+
+class TestWrongShape:
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 4, 5), (5,) * 4, (4,) * 5])
+    def test_save_raises_and_writes_nothing(self, tmp_path, shape):
+        path = tmp_path / "bad.json"
+        doc = TensorDocument(ModelPoint(4, 2), {"A": np.ones((4,) * 4), "R": np.zeros(shape)})
+        with pytest.raises(DimensionMismatch, match=re.escape(f"'R' has shape {shape}")):
+            save_document(doc, path)
+        assert not path.exists()
+
+
+class TestComplexTensor:
+    def test_save_raises_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "bad.json"
+        T = np.zeros((4,) * 4, dtype=complex)
+        with pytest.raises(InvalidDocument, match="'R' has complex components"):
+            save_document(TensorDocument(ModelPoint(4, 2), {"R": T}), path)
+        assert not path.exists()
 
 
 class TestNonFiniteTensor:
@@ -114,3 +155,32 @@ class TestNonFiniteTensor:
         with pytest.raises(NonFiniteTensor):
             save_document(TensorDocument(model, {"R": np.full((4,) * 4, np.nan)}), path)
         assert path.read_bytes() == before
+
+
+class TestTracedMemory:
+    # Components never become Python floats: the traced peak of a save or a
+    # load of the m = 20 space form stays a few tensors' bytes.  A list
+    # layout takes 7.3 and 5.1 times the tensor's bytes on this document.
+    @pytest.fixture(scope="class")
+    def space_form(self):
+        model = hermitian_model(20, 4)
+        return TensorDocument(model, {"R": build_space_form(model, 0.5, 2.0)})
+
+    @staticmethod
+    def traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_save(self, tmp_path, space_form):
+        peak = self.traced_peak(save_document, space_form, tmp_path / "sf.json")
+        assert peak <= 5 * space_form.tensor("R").nbytes
+
+    def test_load(self, tmp_path, space_form):
+        path = tmp_path / "sf.json"
+        save_document(space_form, path)
+        peak = self.traced_peak(load_document, path)
+        assert peak <= 4 * space_form.tensor("R").nbytes
