@@ -20,8 +20,9 @@ Each product is one outer product and its pair transpose,
 V(x,y,z,u) = g(x,y)S(z,u) + S(x,y)g(z,u), read back in two index orders:
 phi(S) = V(y,z,x,u) - V(x,z,y,u); psi(S) does the same with om = gJ and SJ
 and subtracts 2V.  The Bochner tensor needs only rho and rho* of the
-conjugate tensor, which ``tensors.conjugate_riccis`` gives without
-forming the conjugate.  Callers that need several criteria of one tensor
+conjugate tensor, and since every model's J is g-orthogonal those are
+J^T rho J and J^T rho* J: two contractions of R, and no conjugate is
+formed.  Callers that need several criteria of one tensor
 (``diagnostics.flatness_norms``, the theorems of one ``fuzz`` trial)
 compute each derived tensor once and share its norm.
 """
@@ -37,7 +38,6 @@ from .model import ModelPoint, Tolerance, as_tolerance
 from .planes import PLUS_MINUS_PAIR, check_count
 from .tensors import (
     check_quad,
-    conjugate_riccis,
     is_symmetric,
     max_norm,
     quad_eval_batch,
@@ -138,9 +138,10 @@ def bochner(model: ModelPoint, R) -> np.ndarray:
 
     with s1 = rho + 3 rho*, s2 = rho - rho* of R + conj, s3 = rho*(R - conj),
     s4 = rho(R - conj), c1 = (tau + 3 tau*)/(16(n+1)(n+2)) and
-    c2 = (tau - tau*)/(16(n-1)(n-2)) of R itself.  Evaluated in closed
-    linear form as R - phi(S_phi) - psi(S_psi).  psi-arguments violating
-    the hybrid condition do not abort.
+    c2 = (tau - tau*)/(16(n-1)(n-2)) of R itself.  rho(conj) = J^T rho J
+    and rho*(conj) = J^T rho* J, because J^T g J = g, so R is contracted
+    twice.  Evaluated in closed linear form as R - phi(S_phi) - psi(S_psi).
+    psi-arguments violating the hybrid condition do not abort.
     """
     m = model.dim
     if m % 2 or m < 6:
@@ -151,7 +152,7 @@ def bochner(model: ModelPoint, R) -> np.ndarray:
     g = model.metric
 
     rho, rs = ricci(model, R), ricci_star(model, R)
-    rho_bar, rs_bar = conjugate_riccis(model, R)
+    rho_bar, rs_bar = J.T @ rho @ J, J.T @ rs @ J
     tau, tau_star = trace_g(model, rho), trace_g(model, rs)
     rho_plus, rs_plus = rho + rho_bar, rs + rs_bar
     s1 = rho_plus + 3.0 * rs_plus

@@ -181,7 +181,8 @@ class _ExactNorms:
     scaled max-norms of the derived tensors and the space-form fits.
     ``equivalence_check`` makes a fresh one per call; ``fuzz`` shares one
     across the theorems of a trial, so Theorems 1 and 2 use one conformal
-    tensor and Theorems 6 and 7 one Bochner tensor."""
+    tensor, Theorems 6 and 7 one Bochner tensor, and the Einstein check and
+    the fits one Ricci contraction."""
 
     SIDE_NAMES = {"const_curv": "constant-curvature residual",
                   "conformal": "conformal norm", "bochner": "Bochner norm"}
@@ -190,8 +191,12 @@ class _ExactNorms:
         self.model, self.R, self.scale = model, R, scale
 
     @cached_property
+    def rho(self) -> np.ndarray:
+        return ricci(self.model, self.R)
+
+    @cached_property
     def tau(self) -> float:
-        return trace_g(self.model, ricci(self.model, self.R))
+        return trace_g(self.model, self.rho)
 
     @cached_property
     def kappa(self) -> float:
@@ -273,9 +278,10 @@ def _consistency_report(sides, tol: Tolerance, count: int) -> DiagReport:
     return DiagReport(max(r for _, r, _ in sides), witness, count, verdict, notes)
 
 
-def _quadruple_sides(planes, R, scale):
+def _quadruple_sides(planes, exact):
     """Theorem 2: R(x,y,a,b) and the sectional-curvature relation on (+,+,-,-)
     quadruples (x, y, a, b), rows 0 to 3 of each frame."""
+    R, scale = exact.R, exact.scale
     kind = PlaneKind.QUADRUPLE_PPMM
     quads = planes.batch(kind)
 
@@ -288,13 +294,14 @@ def _quadruple_sides(planes, R, scale):
             _sampled("sectional curvature relation", relation, scale, quads)]
 
 
-def _antiholomorphic_spread_sides(planes, R, scale):
+def _antiholomorphic_spread_sides(planes, exact):
     """Theorem 5: weakly isotropic antiholomorphic vanishing against the
     spread of sectional curvatures over nondegenerate antiholomorphic planes.
     The spread over one plane is 0 whatever R is, so it needs two samples."""
     if planes.count < 2:
         raise InvalidSampleCount(f"{TheoremId.THM_5_WEAK_ISO_ANTIHOL.value} needs at least two "
                                  f"samples for a curvature spread, got {planes.count}")
+    R, scale = exact.R, exact.scale
     hyp = _kind_side(planes, R, PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC, scale)
     kind = PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC
     batch = planes.batch(kind)
@@ -303,13 +310,12 @@ def _antiholomorphic_spread_sides(planes, R, scale):
     return [hyp, ("antiholomorphic curvature spread", spread, None)]
 
 
-def _einstein_sides(planes, R, scale):
+def _einstein_sides(planes, exact):
     """Sampled |rho(xi,xi)| on isotropic xi against the Einstein residual
-    |rho - (tau/m) g|, both scaled by max(1, |rho|_max) in place of `scale`."""
+    |rho - (tau/m) g|, both scaled by max(1, |rho|_max) in place of R's."""
     model = planes.model
     XI = isotropic_vectors(model, planes.count, planes.seed)
-    rho = ricci(model, R)
-    tau = trace_g(model, rho)
+    rho, tau = exact.rho, exact.tau
     scale = max(1.0, max_norm(rho))
     values = np.einsum("ki,ij,kj->k", XI, rho, XI)
     return [_sampled("sampled max |rho(xi,xi)|", values, scale, XI[:, None]),
@@ -325,7 +331,7 @@ class TheoremSpec:
 
     kinds: tuple = ()
     exact: str = None
-    sides: Callable = None  # (_RequestPlanes, R, scale) -> list of sides
+    sides: Callable = None  # (_RequestPlanes, _ExactNorms) -> list of sides
     needs: Signature = None
 
     @cached_property
@@ -380,7 +386,7 @@ def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 
     for what, row in spec.signatures:
         row.require(model, f"{theorem_id.value}: {what}")
     if spec.sides is not None:
-        sides = spec.sides(planes, R, exact.scale)
+        sides = spec.sides(planes, exact)
     else:
         sides = [_kind_side(planes, R, kind, exact.scale) for kind in spec.kinds]
     if spec.exact is not None:

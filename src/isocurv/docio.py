@@ -14,8 +14,9 @@ Older documents store each tensor as a JSON list of m^4 numbers, row-major
 over (i,j,k,l), and are often indented; they load the same.  Saving a tensor
 whose shape is not (m, m, m, m) raises DimensionMismatch, a complex one
 InvalidDocument, and one with a NaN or infinite component NonFiniteTensor;
-either way nothing is written.  Loading rejects the same tensors, and any
-malformed payload, with InvalidDocument.
+either way nothing is written.  Loading rejects the same tensors, any
+malformed payload, a document with no tensor and no (m, m) metric or J,
+and any model that ModelPoint refuses, with InvalidDocument.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDocument, NonFiniteTensor
-from .model import ModelPoint, validate_complex_structure
+from .model import ModelPoint
 
 DTYPE = "<f8"
 
@@ -150,10 +151,11 @@ def load_document(path) -> TensorDocument:
         tensors[name] = arr.reshape((dim,) * 4)
     metric = _numeric(obj["metric"], "'metric'") if "metric" in obj else None
     cplx = _numeric(obj["J"], "'J'") if "J" in obj else None
+    if not tensors and not any(a is not None and a.shape == (dim, dim) for a in (metric, cplx)):
+        # nothing else accounts for 'dim': refuse it before the model spends dim^2 memory on it
+        raise InvalidDocument(f"a document without tensors needs a {dim} x {dim} 'metric' or 'J'")
     try:
         model = ModelPoint(dim, index, metric=metric, cplx=cplx)
     except Exception as exc:
         raise InvalidDocument(str(exc)) from exc
-    if model.has_cplx and not validate_complex_structure(model).verdict:
-        raise InvalidDocument("J fails the complex-structure axioms")
     return TensorDocument(model, tensors, obj.get("meta", {}))

@@ -64,15 +64,6 @@ class Tolerance:
         return self.rel * scale
 
 
-def _condition(g: np.ndarray) -> float:
-    """|g|_F |g^-1|_F, which lies between sigma_max/sigma_min and m times it,
-    so it does not change when g is scaled; inf for a singular g."""
-    try:
-        return float(np.linalg.norm(g) * np.linalg.norm(np.linalg.inv(g)))
-    except np.linalg.LinAlgError:
-        return np.inf
-
-
 def as_tolerance(tol) -> Tolerance:
     return tol if isinstance(tol, Tolerance) else Tolerance(float(tol))
 
@@ -82,11 +73,11 @@ class ModelPoint:
     """A tangent-space model: dimension, index, metric, optional J.
 
     Two models are equal, and hash alike, when their dimension, index and
-    the bytes of their metric and J are.  The constructor checks the metric
-    (finite, symmetric, nondegenerate) and J (finite, of the right shape);
-    the J axioms themselves (J^2 = -id, g-compatibility) are checked by
-    :func:`validate_complex_structure` so that deliberately broken
-    structures can still be inspected.
+    the bytes of their metric and J are.  Every model is valid: the
+    constructor checks the metric (finite, symmetric, nondegenerate, with
+    ``index`` negative eigenvalues) and J (finite, of the right shape, and
+    passing :func:`validate_complex_structure`), and raises InvalidModel
+    otherwise, so no other code checks them again.
     """
 
     dim: int
@@ -109,8 +100,16 @@ class ModelPoint:
             raise InvalidModel("metric must be finite")
         if not np.allclose(g, g.T, rtol=1e-12, atol=1e-12):
             raise InvalidModel("metric must be symmetric")
-        if _condition(g) >= 1e12:
-            raise InvalidModel("metric must be nondegenerate")
+        # |g|_F |g^-1|_F = sqrt(sum lam^2 sum lam^-2), between sigma_max/sigma_min
+        # and m times it, on lam / max|lam| so that no square overflows
+        lam = np.linalg.eigvalsh(g)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            r = lam / np.max(np.abs(lam))
+            if not np.sqrt(np.sum(r * r) * np.sum(r ** -2.0)) < 1e12:
+                raise InvalidModel("metric must be nondegenerate")
+        negative = int(np.count_nonzero(lam < 0))
+        if negative != self.index:
+            raise InvalidModel(f"the metric has index {negative}, not {self.index}")
         g.setflags(write=False)
         object.__setattr__(self, "metric", g)
         if self.cplx is not None:
@@ -123,6 +122,10 @@ class ModelPoint:
                 raise InvalidModel("J must be finite")
             J.setflags(write=False)
             object.__setattr__(self, "cplx", J)
+            report = validate_complex_structure(self)
+            if not report.verdict:
+                raise InvalidModel(f"J fails its axioms: |J^2 + id| = {report.square_residual:.3g},"
+                                   f" |J^T g J - g| = {report.compat_residual:.3g}")
 
     @cached_property
     def _key(self) -> tuple:

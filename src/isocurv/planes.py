@@ -28,7 +28,6 @@ from .errors import (
     DegeneratePlane,
     DegenerateSubspace,
     DependentInput,
-    InvalidModel,
     InvalidSampleCount,
     NonFiniteTensor,
     UnsupportedSignature,
@@ -39,7 +38,6 @@ from .model import (
     as_tolerance,
     inner,
     standard_complex_structure,
-    validate_complex_structure,
 )
 from .tensors import check_quad, quad_eval
 
@@ -197,18 +195,12 @@ def adapted_basis(model: ModelPoint) -> Frame:
     """Rows B with B g B^T = diag(signs): the eigenvectors of g, each divided
     by the root of |its eigenvalue|, or with J the (e, Je) pairs of one pivot
     loop over them, so that rows 2k and 2k + 1 are (e, Je).  The default
-    models give the identity.  A metric whose count of negative eigenvalues
-    is not ``model.index``, or a J that fails ``validate_complex_structure``,
-    raises InvalidModel.  Cached by model; the rows are read-only."""
+    models give the identity.  The model is valid by construction, so there
+    are ``model.index`` negative signs and J pairs e with Je.  Cached by
+    model; the rows are read-only."""
     lam, V = np.linalg.eigh(model.metric)
-    if np.count_nonzero(lam < 0) != model.index:
-        raise InvalidModel(f"the metric has index {np.count_nonzero(lam < 0)}, not {model.index}")
     work, signs = V.T / np.sqrt(np.abs(lam))[:, None], np.where(lam < 0, -1, 1)
     if model.has_cplx:
-        report = validate_complex_structure(model)
-        if not report.verdict:
-            raise InvalidModel(f"J fails its axioms: |J^2 + id| = {report.square_residual:.3g},"
-                               f" |J^T g J - g| = {report.compat_residual:.3g}")
         work, rows, signs = list(work), [], []
         while len(rows) < model.dim:  # e: the rest's largest |g(w,w)|, off earlier pairs
             norms = [inner(model, w, w) for w in work]

@@ -145,25 +145,14 @@ def scalar_star(model: ModelPoint, T) -> float:
 
 
 def conjugate(model: ModelPoint, T) -> np.ndarray:
-    """Pullback through J in all four slots: T(Jx, Jy, Jz, Ju)."""
+    """Pullback through J in all four slots: T(Jx, Jy, Jz, Ju).
+
+    O(m^5), and formed by no derived tensor: it is the oracle for the
+    identities rho(conj) = J^T rho J and rho*(conj) = J^T rho* J that
+    ``canonical.bochner`` uses instead."""
     T = check_quad(model, T)
     J = model.require_cplx()
     return np.einsum("abcd,ax,by,cz,du->xyzu", T, J, J, J, J, optimize=True)
-
-
-def conjugate_riccis(model: ModelPoint, T) -> tuple[np.ndarray, np.ndarray]:
-    """rho and rho* of conjugate(T), without forming the conjugate.
-
-    With H = J g^-1: rho(Tbar) = J^T c(T, H J^T) J and
-    rho*(Tbar) = J^T c(T, H (J^2)^T) J^2, where c(T, K)(q, r) is
-    sum_{p,s} K[p,s] T[p,q,r,s].  Both hold for any J, so a structure that
-    fails the axioms gets the same contractions as ``ricci(conjugate(T))``.
-    """
-    T = check_quad(model, T)
-    J = model.require_cplx()
-    J2 = J @ J
-    H = J @ model.metric_inv
-    return J.T @ _contract(T, H @ J.T) @ J, J.T @ _contract(T, H @ J2.T) @ J2
 
 
 def _contract(T: np.ndarray, K: np.ndarray) -> np.ndarray:

@@ -245,6 +245,31 @@ def document_object(doc):
     return obj
 
 
+def load_model_document(path, dim, index, metric=None, J=None):
+    """``load_document`` of a document with one zero tensor and the given
+    metric and J, written as plain JSON, so that a model that ModelPoint
+    refuses still reaches the loader."""
+    from isocurv import load_document
+
+    obj = {"dim": dim, "index": index, "tensors": {"R": [0.0] * dim ** 4}}
+    for key, value in (("metric", metric), ("J", J)):
+        if value is not None:
+            obj[key] = np.asarray(value, dtype=float).tolist()
+    path.write_text(json.dumps(obj))
+    return load_document(path)
+
+
+def pullback_rel(g):
+    """The relative tolerance for a quantity computed on a model pulled
+    back to metric g.  Rounding in the pulled-back metric and J grows with
+    the square of g's condition number |g|_F |g^-1|_F (ModelPoint's measure,
+    at least m).  Over 4800 draws of the naturality tests' A every derived
+    tensor stayed within 5e-17 cond^2 (the worst at seed 1356), and over 5400
+    draws the space-form fits within 1.6e-17 cond^2.  At the median cond, 18,
+    this tolerance is 3e-13."""
+    return 1e-15 * (np.linalg.norm(g) * np.linalg.norm(np.linalg.inv(g))) ** 2
+
+
 def write_indented_document(doc, path):
     """Write `doc` in the indented layout of older tensor documents,
     ``json.dump(obj, fh, indent=2, sort_keys=True)``.  Unlike

@@ -43,6 +43,7 @@ from conftest import (
     oracle_pi1,
     oracle_pi2,
     oracle_psi,
+    pullback_rel,
     pulled_back_hermitian,
     random_symmetric,
 )
@@ -268,17 +269,6 @@ def _pullback(T, A):
     return T
 
 
-def _pullback_rel(g):
-    """The relative tolerance for a quantity computed on the model pulled
-    back to metric g.  Rounding in the pulled-back metric and J grows with
-    the square of g's condition number |g|_F |g^-1|_F (ModelPoint's measure,
-    at least m).  Over 4800 draws of the naturality tests' A every derived
-    tensor stayed within 5e-17 cond^2 (the worst at seed 1356), and over 5400
-    draws the space-form fits within 1.6e-17 cond^2.  At the median cond, 18,
-    this tolerance is 3e-13."""
-    return 1e-15 * (np.linalg.norm(g) * np.linalg.norm(np.linalg.inv(g))) ** 2
-
-
 class TestNaturality:
     """For the model pulled back by A (metric A^T g A, J = A^-1 J A), the
     derived tensors of A*R are A* of the derived tensors of R."""
@@ -294,7 +284,7 @@ class TestNaturality:
         pulled = ModelPoint(base.dim, base.index, metric=A.T @ base.metric @ A,
                             cplx=np.linalg.solve(A, base.cplx @ A))
         R = random_curvature_like(base, seed % 1000)
-        rel = _pullback_rel(pulled.metric)
+        rel = pullback_rel(pulled.metric)
         for derived in (bochner, conformal, ricci, ricci_star):
             want = _pullback(derived(base, R), A)
             assert _close(derived(pulled, _pullback(R, A)), want, rel=rel)
@@ -313,7 +303,7 @@ class TestNaturality:
         pulled = ModelPoint(base.dim, base.index, metric=g, cplx=np.linalg.solve(A, base.cplx @ A))
         R = build_space_form(base, 0.5, 2.0) + 1e-3 * random_curvature_like(base, seed % 1000)
         RA = _pullback(R, A)
-        rel = _pullback_rel(g)
+        rel = pullback_rel(g)
         for want, got in ((flatness_norms(base, R), flatness_norms(pulled, RA)),
                           (flatness_norms(ModelPoint(*dims), R),
                            flatness_norms(ModelPoint(*dims, metric=g), RA))):

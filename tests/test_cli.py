@@ -628,6 +628,28 @@ class TestHugeDimension:
         assert capsys.readouterr().err.startswith("error: tensor 'R' has 12 base64 characters")
         assert built == []
 
+    @pytest.mark.parametrize("fields", [{}, {"J": [[0.0]]}], ids=["no-metric-or-j", "small-j"])
+    def test_no_tensor_and_no_full_size_metric_or_j(self, tmp_path, capsys, monkeypatch, fields):
+        import isocurv.docio as docio
+        from isocurv.errors import InvalidDocument
+
+        built = []
+        monkeypatch.setattr(docio, "ModelPoint", lambda *a, **k: built.append(a))
+        path = tmp_path / "huge-dim.json"
+        path.write_text(json.dumps({"dim": 1500, "index": 2, **fields}))
+        message = "a document without tensors needs a 1500 x 1500 'metric' or 'J'"
+        with pytest.raises(InvalidDocument, match=f"{message}$"):
+            load_document(path)
+        assert run("diagnose", str(path), "--tensor", "R", "--theorem", "flatness") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert built == []
+
+    def test_a_saved_document_without_tensors_loads(self, tmp_path):
+        path = tmp_path / "model-only.json"
+        save_document(TensorDocument(hermitian_model(4, 2)), path)
+        doc = load_document(path)
+        assert doc.model == hermitian_model(4, 2) and doc.tensors == {}
+
 
 class TestTheoremChoices:
     def test_choices_come_from_the_theorem_table(self, capsys):

@@ -148,6 +148,24 @@ class TestDerivedTensorsBuiltOnce:
         flatness_norms(h44, random_curvature_like(h44, 5))
         assert counter.calls == {"pi2": 0}
 
+    def test_one_fuzz_trial_contracts_r_four_times(self, h44, monkeypatch):
+        # rho once for tau and the Einstein sides, once in conformal, and
+        # rho and rho* in bochner, whose conjugate's contractions are J^T . J
+        import isocurv.tensors as tensors
+
+        counter = _CallCounter(monkeypatch, tensors, ["_contract"])
+        fuzz(h44, trials=1, seed=1, samples=5)
+        assert counter.calls == {"_contract": 4}
+
+    def test_flatness_norms_contracts_r_six_times(self, h44, monkeypatch):
+        # rho for tau, rho* for the fit and again in the antiholomorphic
+        # residual, rho in conformal, and rho and rho* in bochner
+        import isocurv.tensors as tensors
+
+        counter = _CallCounter(monkeypatch, tensors, ["_contract"])
+        flatness_norms(h44, random_curvature_like(h44, 5))
+        assert counter.calls == {"_contract": 6}
+
     def test_fuzz_takes_r_and_scale_from_the_shared_norms(self, h44, monkeypatch):
         import isocurv.diagnostics as diag
 

@@ -10,8 +10,10 @@ from isocurv import (
     standard_complex_structure,
     validate_complex_structure,
 )
-from isocurv.errors import DimensionMismatch, InvalidModel, InvalidTolerance
+from isocurv.errors import DimensionMismatch, InvalidDocument, InvalidModel, InvalidTolerance
 from isocurv.planes import PlaneKind, isotropic_vectors, sample_planes
+
+from conftest import load_model_document
 
 
 def test_inner_timelike_direction():
@@ -70,23 +72,24 @@ def test_standard_j_passes_axioms():
     assert rep.compat_residual == 0.0
 
 
-def test_identity_j_fails_square_axiom():
-    m = ModelPoint(4, 2, cplx=np.eye(4))
-    rep = validate_complex_structure(m)
-    assert not rep.verdict
-    assert rep.square_residual > 1.0
+def test_identity_j_fails_square_axiom(tmp_path):
+    message = r"J fails its axioms: \|J\^2 \+ id\| = 2, \|J\^T g J - g\| = 0$"
+    with pytest.raises(InvalidModel, match=message):
+        ModelPoint(4, 2, cplx=np.eye(4))
+    with pytest.raises(InvalidDocument, match=message):
+        load_model_document(tmp_path / "identity-j.json", 4, 2, J=np.eye(4))
 
 
-def test_sign_mixing_j_fails_compatibility():
+def test_sign_mixing_j_fails_compatibility(tmp_path):
     # pair a negative with a positive direction
     J = np.zeros((4, 4))
     J[1, 0], J[0, 1] = 1.0, -1.0  # swaps e0 (negative) with e1
     J[3, 2], J[2, 3] = 1.0, -1.0
-    m = ModelPoint(4, 1, cplx=J)
-    rep = validate_complex_structure(m)
-    assert rep.square_residual <= 1e-15
-    assert rep.compat_residual > 1.0
-    assert not rep.verdict
+    message = r"J fails its axioms: \|J\^2 \+ id\| = 0, \|J\^T g J - g\| = 2$"
+    with pytest.raises(InvalidModel, match=message):
+        ModelPoint(4, 1, cplx=J)
+    with pytest.raises(InvalidDocument, match=message):
+        load_model_document(tmp_path / "sign-mixing-j.json", 4, 1, J=J)
 
 
 def test_standard_j_requires_even_index():

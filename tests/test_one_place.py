@@ -3,8 +3,12 @@ CLI is an IsocurvError (``cli.main`` has one handler for it), a signature
 row's sign pick and J flag are applied only by ``planes``, a sample is
 its array of basis rows: ``diagnostics`` builds no Plane or Frame from it,
 and no wrapper class named PlaneBatch comes back, a draw's samples come
-from one generator (none is built in a loop or comprehension), and
-``planes`` never reads or rewinds a generator's state."""
+from one generator (none is built in a loop or comprehension),
+``planes`` never reads or rewinds a generator's state, and only ``model``
+decides whether a model is valid: no other module raises InvalidModel or
+calls ``validate_complex_structure``, and no contraction of the conjugate
+tensor that would serve a J failing its axioms (``conjugate_riccis``)
+comes back."""
 
 import ast
 from pathlib import Path
@@ -37,13 +41,34 @@ def _row_decisions(tree: ast.AST) -> list:
         or isinstance(node.func, ast.Attribute) and node.func.attr == "pick")]
 
 
+def _raises(tree: ast.AST, name: str) -> list:
+    """Lines that raise `name`, bare, called or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (isinstance(target, ast.Name) and target.id == name
+                    or isinstance(target, ast.Attribute) and target.attr == name):
+                found.append(node.lineno)
+    return found
+
+
+def _calls(tree: ast.AST, name: str) -> list:
+    """Lines that call `name`, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == name
+        or isinstance(node.func, ast.Attribute) and node.func.attr == name))
+
+
 def _names(tree: ast.AST, wanted: set) -> list:
-    """Lines that import, load or call one of the names `wanted`, bare or as
-    an attribute."""
+    """Lines that define, import, load or call one of the names `wanted`,
+    bare or as an attribute."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             hit = any(a.name.rpartition(".")[2] in wanted for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            hit = node.name in wanted
         else:
             hit = (isinstance(node, ast.Name) and node.id in wanted
                    or isinstance(node, ast.Attribute) and node.attr in wanted)
@@ -99,6 +124,19 @@ def test_no_plane_batch(path):
     assert _names(_parse(path), {"PlaneBatch"}) == []
 
 
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "model.py"),
+                         ids=lambda p: p.name)
+def test_only_model_decides_validity(path):
+    tree = _parse(path)
+    assert _raises(tree, "InvalidModel") == []
+    assert _calls(tree, "validate_complex_structure") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_conjugate_riccis(path):
+    assert _names(_parse(path), {"conjugate_riccis"}) == []
+
+
 def test_detects_what_it_forbids():
     tree = ast.parse(
         "raise SystemExit('no')\n"
@@ -113,11 +151,24 @@ def test_detects_what_it_forbids():
         "from .planes import Frame, sample_planes\n"
         "planes.Plane(x, y)\n"
         "import isocurv.planes.PlaneBatch\n"
-        "Planes, frame = PlaneBatch(v), batch.vectors\n")
+        "Planes, frame = PlaneBatch(v), batch.vectors\n"
+        "raise InvalidModel('no')\n"
+        "raise errors.InvalidModel\n"
+        "caught = (InvalidModel, KeyError)\n"
+        "report = validate_complex_structure(model)\n"
+        "ok = model_mod.validate_complex_structure(model, tol).verdict\n"
+        "from .model import validate_complex_structure\n"
+        "from .tensors import conjugate_riccis\n"
+        "rho_bar, rs_bar = tensors.conjugate_riccis(model, R)\n"
+        "def conjugate_riccis(model, T): pass\n"
+        "class PlaneBatch: pass\n")
     assert _system_exits(tree) == [1, 4]
     assert _row_decisions(tree) == [6, 7]
     assert _names(tree, {"Plane", "Frame"}) == [10, 11]
-    assert _names(tree, {"PlaneBatch"}) == [12, 13]
+    assert _names(tree, {"PlaneBatch"}) == [12, 13, 23]
+    assert _raises(tree, "InvalidModel") == [14, 15]
+    assert _calls(tree, "validate_complex_structure") == [17, 18]
+    assert _names(tree, {"conjugate_riccis"}) == [20, 21, 22]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

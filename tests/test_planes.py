@@ -25,6 +25,7 @@ from isocurv.errors import (
     DegeneratePlane,
     DegenerateSubspace,
     DependentInput,
+    InvalidDocument,
     InvalidModel,
     InvalidSampleCount,
     NonFiniteTensor,
@@ -40,7 +41,12 @@ from isocurv.planes import (
     sample_rng,
 )
 
-from conftest import non_diagonal_model, oracle_cayley_rows, pulled_back_hermitian
+from conftest import (
+    load_model_document,
+    non_diagonal_model,
+    oracle_cayley_rows,
+    pulled_back_hermitian,
+)
 
 
 def e(m, i):
@@ -386,18 +392,22 @@ class TestAdaptedBasis:
         if model.has_cplx:
             assert np.allclose(P[1::2], P[::2] @ model.cplx.T, atol=1e-12)
 
-    def test_a_j_failing_its_axioms_is_a_typed_error(self):
-        model = ModelPoint(8, 4, cplx=2 * standard_complex_structure(8, 4))
-        kind = PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC
-        with pytest.raises(InvalidModel, match="J fails its axioms"):
-            sample_planes(model, kind, 50)
-        with pytest.raises(InvalidModel, match="J fails its axioms"):
-            sample_planes(model, PlaneKind.WEAKLY_ISOTROPIC, 50)
+    # a model that would break the adapted basis is refused when it is built
+    # or loaded, before anything is drawn from it
+    def test_a_j_failing_its_axioms_is_a_typed_error(self, tmp_path):
+        J = 2 * standard_complex_structure(8, 4)
+        message = r"J fails its axioms: \|J\^2 \+ id\| = 3, \|J\^T g J - g\| = 3$"
+        with pytest.raises(InvalidModel, match=message):
+            ModelPoint(8, 4, cplx=J)
+        with pytest.raises(InvalidDocument, match=message):
+            load_model_document(tmp_path / "double-j.json", 8, 4, J=J)
 
-    def test_an_index_the_metric_does_not_have_is_a_typed_error(self):
-        model = ModelPoint(4, 1, metric=np.diag([-1.0, -1.0, 1.0, 1.0]))
-        with pytest.raises(InvalidModel, match="index 2, not 1"):
-            sample_planes(model, PlaneKind.WEAKLY_ISOTROPIC, 5)
+    def test_an_index_the_metric_does_not_have_is_a_typed_error(self, tmp_path):
+        g = np.diag([-1.0, -1.0, 1.0, 1.0])
+        with pytest.raises(InvalidModel, match="the metric has index 2, not 1$"):
+            ModelPoint(4, 1, metric=g)
+        with pytest.raises(InvalidDocument, match="the metric has index 2, not 1$"):
+            load_model_document(tmp_path / "index.json", 4, 1, metric=g)
 
 
 def _unit_rows(batch):

@@ -22,7 +22,6 @@ from isocurv import (
 from isocurv.diagnostics import random_curvature_like
 from isocurv.errors import MissingComplexStructure
 from isocurv.planes import SIGNATURES
-from isocurv.tensors import conjugate_riccis
 
 from conftest import (
     non_diagonal_model,
@@ -32,6 +31,7 @@ from conftest import (
     oracle_ricci_star,
     oracle_ricci_star_general,
     oracle_scalar,
+    pullback_rel,
     pulled_back_hermitian,
 )
 
@@ -160,7 +160,7 @@ class TestConjugate:
 
 class TestGeneralMetricContractions:
     """Ricci-type contractions on a non-diagonal metric, and those of the
-    conjugate tensor taken without forming it."""
+    conjugate tensor as J-conjugates of the tensor's own."""
 
     @pytest.mark.parametrize("dims", [(6, 2), (8, 4)])
     def test_ricci_and_ricci_star_match_loop_oracles(self, dims):
@@ -171,17 +171,21 @@ class TestGeneralMetricContractions:
         assert np.allclose(ricci_star(model, T), oracle_ricci_star_general(ginv, model.cplx, T),
                            rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("valid_j", [True, False], ids=["hermitian", "arbitrary-J"])
-    def test_conjugate_riccis_match_full_conjugate(self, valid_j):
-        model = pulled_back_hermitian(8, 4, seed=3)
-        if not valid_j:  # the identities hold for any J, not only J^2 = -1
-            J = np.random.default_rng(4).uniform(-1.0, 1.0, (8, 8))
-            model = ModelPoint(8, 4, metric=model.metric, cplx=J)
-        T = np.random.default_rng(2).uniform(-1.0, 1.0, (8,) * 4)
-        rho_bar, rho_star_bar = conjugate_riccis(model, T)
+    @pytest.mark.parametrize("dims,seed", [((6, 2), 3), ((8, 4), 3), ((8, 4), 5)],
+                             ids=["pulled-back-h24-seed3", "pulled-back-h44-seed3",
+                                  "pulled-back-h44-seed5"])
+    def test_riccis_of_the_conjugate_are_j_conjugates(self, dims, seed):
+        # rho(conjugate(T)) = J^T rho(T) J and rho*(conjugate(T)) = J^T rho*(T) J
+        # for any T, since J is g-orthogonal: how bochner gets them
+        model = pulled_back_hermitian(*dims, seed=seed)
+        J = model.cplx
+        T = np.random.default_rng(2).uniform(-1.0, 1.0, (dims[0],) * 4)  # no symmetries
         full = conjugate(model, T)
-        for got, want in ((rho_bar, ricci(model, full)), (rho_star_bar, ricci_star(model, full))):
-            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        rel = pullback_rel(model.metric)
+        for contraction in (ricci, ricci_star):
+            want = contraction(model, full)
+            got = J.T @ contraction(model, T) @ J
+            assert np.max(np.abs(got - want)) <= rel * max(1.0, np.max(np.abs(want)))
 
 
 class TestQuadEvalBatch:
