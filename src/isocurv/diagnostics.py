@@ -6,18 +6,21 @@ conclusion side by the exact closed-form criterion (conformal norm,
 Bochner norm, projection residual).  The verdict is *consistency*: both
 sides pass or both fail.  A one-sided outcome signals a bug and is
 surfaced, never silently resolved.  ``THEOREMS`` lists the checks: the
-kinds each samples, its exact side and the signatures where it holds.
+kinds each samples, the list of its sides and the signatures where it
+holds.
 
 All residuals are relative-scaled by max(1, |T|_max) of the tensor under
 test, so verdicts compare directly against the relative tolerance.
 
-The sampled sides evaluate R(x, y, z, u) through ``_RequestPlanes``: the
-pair rows x (x) y of a request's plane batches are built once, and only
-the product with R runs per tensor, so ``fuzz`` forms each pair row once
-however many trials it runs.  Each sample is a read-only array of basis
-rows, and a failing report's witness is the (n, m) rows of its worst
-sample: the (x, y) of a plane, the rows of a frame, or the one row xi of
-an isotropic vector.
+Every side of one tensor is computed in one place, ``_Sides``, on first
+use: the exact criteria and the sampled sides, so theorems that share a
+side read it once.  The sampled sides evaluate R(x, y, z, u) through
+``_RequestPlanes``: the pair rows x (x) y of a request's plane batches are
+built once, and only the product with R runs per tensor, so ``fuzz``
+forms each pair row once however many trials it runs.  Each sample is a
+read-only array of basis rows, and a failing report's witness is the
+(n, m) rows of its worst sample: the (x, y) of a plane, the rows of a
+frame, or the one row xi of an isotropic vector.
 """
 
 from __future__ import annotations
@@ -102,13 +105,13 @@ class _RequestPlanes:
     pair rows of each batch built once for the whole request.
 
     ``batch`` fetches the read-only (count, n, m) array of a kind through
-    ``sample_planes`` on every call.  ``pair`` memoizes the ``pair_rows`` of
-    basis rows (i, j) of a batch by (kind, i, j); (j, i) is the contiguous
+    ``sample_planes``.  ``pair`` memoizes the ``pair_rows`` of basis rows
+    (i, j) of a kind's batch by (kind, i, j); (j, i) is the contiguous
     transposed copy of (i, j), the same bits since products commute exactly.
-    Only ``bivector_eval`` then runs per tensor.  The pair rows live in this
-    holder, not in the lru cache of ``sample_planes``: a caller that draws a
-    fresh seed per call would keep the rows of up to 32 batches alive,
-    0.2-0.8 MB each at 200 samples.
+    Only ``bivector_eval`` then runs per tensor, in ``_Sides.quad``.  The
+    pair rows live in this holder, not in the lru cache of ``sample_planes``:
+    a caller that draws a fresh seed per call would keep the rows of up to
+    32 batches alive, 0.2-0.8 MB each at 200 samples.
     """
 
     def __init__(self, model: ModelPoint, count: int, seed: int):
@@ -118,77 +121,46 @@ class _RequestPlanes:
     def batch(self, kind: PlaneKind) -> np.ndarray:
         return sample_planes(self.model, kind, self.count, self.seed)
 
-    def pair(self, kind: PlaneKind, planes: np.ndarray, i: int, j: int) -> np.ndarray:
-        """(count, m^2) rows of x_i (x) x_j, x_n the basis rows n of `planes`."""
+    def pair(self, kind: PlaneKind, i: int, j: int) -> np.ndarray:
+        """(count, m^2) rows of x_i (x) x_j, x_n the basis rows n of the batch."""
         key = (kind, i, j)
         if key not in self._memo:
             flip = self._memo.get((kind, j, i))
             if flip is None:
+                planes = self.batch(kind)
                 self._memo[key] = pair_rows(planes[:, i], planes[:, j])
             else:
                 k, m = self.count, self.model.dim
                 self._memo[key] = flip.reshape(k, m, m).transpose(0, 2, 1).reshape(k, m * m)
         return self._memo[key]
 
-    def quad(self, R, kind: PlaneKind, planes: np.ndarray, i, j, a, b) -> np.ndarray:
-        """R(x_i, x_j, x_a, x_b) over the samples of `planes`."""
-        return bivector_eval(R, self.pair(kind, planes, i, j), self.pair(kind, planes, a, b))
-
-    def disc(self, kind: PlaneKind, planes: np.ndarray) -> np.ndarray:
-        """Gram determinants g(u,u) g(v,v) - g(u,v)^2 of the planes."""
+    def disc(self, kind: PlaneKind) -> np.ndarray:
+        """Gram determinants g(u,u) g(v,v) - g(u,v)^2 of the batch's planes."""
         key = (kind, "disc")
         if key not in self._memo:
+            planes = self.batch(kind)
             U, V, g = planes[:, 0], planes[:, 1], self.model.metric
             uu, vv, uv = (np.einsum("ki,ij,kj->k", A, g, B) for A, B in ((U, U), (V, V), (U, V)))
             self._memo[key] = uu * vv - uv ** 2
         return self._memo[key]
 
 
-def _kind_side(planes: _RequestPlanes, R, kind: PlaneKind, scale: float):
-    """The sampled side |R(u,v,v,u)| over planes of the given kind."""
-    batch = planes.batch(kind)
-    values = planes.quad(R, kind, batch, 0, 1, 1, 0)
-    return _sampled(kind.value.replace("-", " ") + " vanishing", values, scale, batch)
+class _Sides:
+    """Every side of the theorems on one R, each computed on first use: the
+    scaled exact-criterion numbers (derived-tensor norms and space-form
+    fits) and the sampled sides, on the planes of a ``_RequestPlanes``.
 
-
-def vanishing_report(model: ModelPoint, R, kind: PlaneKind, count: int = 200,
-                     seed: int = 0, tol=Tolerance()) -> DiagReport:
-    """Max of |R(u,v,v,u)| over sampled planes of the given kind, scaled."""
-    tol = as_tolerance(tol)
-    R = check_quad(model, R)
-    _, worst, witness = _kind_side(_RequestPlanes(model, count, seed), R, kind, residual_scale(R))
-    verdict = worst <= tol.rel
-    return DiagReport(worst, None if verdict else witness, count, verdict)
-
-
-# ---------------------------------------------------------------------------
-# closed-form flatness norms
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FlatnessNorms:
-    conf_norm: float          # None when dim <= 3
-    boch_norm: float          # None without J or dim < 6
-    const_curv_residual: float
-    antihol_residual: float   # None without J, or at m = 2
-    nu_hat: float             # None at m = 2 with J
-    mu_hat: float             # None without J
-
-
-class _ExactNorms:
-    """The exact-criterion numbers of one R, each computed on first use:
-    scaled max-norms of the derived tensors and the space-form fits.
     ``equivalence_check`` makes a fresh one per call; ``fuzz`` shares one
-    across the theorems of a trial, so Theorems 1 and 2 use one conformal
-    tensor, Theorems 6 and 7 one Bochner tensor, and the Einstein check and
-    the fits one Ricci contraction."""
+    across the theorems of a trial, and one ``_RequestPlanes`` across its
+    trials.  So Theorems 1 and 2 use one conformal tensor, Theorems 6 and 7
+    one Bochner tensor, the Einstein check and the fits one Ricci
+    contraction, and Lemma 2 reads the vanishing sides of Theorems 6 and 7.
+    """
 
-    SIDE_NAMES = {"const_curv": "constant-curvature residual",
-                  "conformal": "conformal norm", "bochner": "Bochner norm"}
-
-    def __init__(self, model: ModelPoint, R: np.ndarray, scale: float):
-        self.model, self.R, self.scale = model, R, scale
+    def __init__(self, model: ModelPoint, R: np.ndarray, scale: float,
+                 planes: _RequestPlanes = None):
+        self.model, self.R, self.scale, self.planes = model, R, scale, planes
+        self._vanishing = {}
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -240,6 +212,78 @@ class _ExactNorms:
         """The constant-antiholomorphic-form residual at the fitted nu."""
         return antiholomorphic_form_residual(self.model, self.R, self.fit[0]) / self.scale
 
+    def quad(self, kind: PlaneKind, i: int, j: int, a: int, b: int) -> np.ndarray:
+        """R(x_i, x_j, x_a, x_b) over the samples of the kind's batch."""
+        return bivector_eval(self.R, self.planes.pair(kind, i, j), self.planes.pair(kind, a, b))
+
+    def vanishing(self, kind: PlaneKind) -> tuple:
+        """The sampled side |R(u,v,v,u)| over planes of the given kind."""
+        if kind not in self._vanishing:
+            self._vanishing[kind] = _sampled(kind.value.replace("-", " ") + " vanishing",
+                                             self.quad(kind, 0, 1, 1, 0), self.scale,
+                                             self.planes.batch(kind))
+        return self._vanishing[kind]
+
+    def quadruples(self) -> list:
+        """Theorem 2: R(x,y,a,b) and the sectional-curvature relation
+        K(x,y) + K(a,b) = K(x,a) + K(y,b) on (+,+,-,-) quadruples (x, y, a, b),
+        rows 0 to 3 of each frame; the mixed planes have Gram determinant -1."""
+        kind = PlaneKind.QUADRUPLE_PPMM
+        quads = self.planes.batch(kind)
+        relation = (self.quad(kind, 0, 1, 1, 0) + self.quad(kind, 2, 3, 3, 2)
+                    + self.quad(kind, 0, 2, 2, 0) + self.quad(kind, 1, 3, 3, 1))
+        return [_sampled("quadruple component vanishing", self.quad(kind, 0, 1, 2, 3),
+                         self.scale, quads),
+                _sampled("sectional curvature relation", relation, self.scale, quads)]
+
+    def spread(self) -> tuple:
+        """Theorem 5: the spread of sectional curvatures over nondegenerate
+        antiholomorphic planes.  The spread over one plane is 0 whatever R
+        is, so it needs two samples."""
+        if self.planes.count < 2:
+            raise InvalidSampleCount(f"{TheoremId.THM_5_WEAK_ISO_ANTIHOL.value} needs at least "
+                                     f"two samples for a curvature spread, got {self.planes.count}")
+        kind = PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC
+        ks = self.quad(kind, 0, 1, 1, 0) / self.planes.disc(kind)
+        return "antiholomorphic curvature spread", float(np.max(ks) - np.min(ks)) / self.scale, None
+
+    def einstein(self) -> list:
+        """Sampled |rho(xi,xi)| on isotropic xi against the Einstein residual
+        |rho - (tau/m) g|, both scaled by max(1, |rho|_max) in place of R's."""
+        model, rho = self.model, self.rho
+        XI = isotropic_vectors(model, self.planes.count, self.planes.seed)
+        scale = max(1.0, max_norm(rho))
+        values = np.einsum("ki,ij,kj->k", XI, rho, XI)
+        return [_sampled("sampled max |rho(xi,xi)|", values, scale, XI[:, None]),
+                ("Einstein residual", max_norm(rho - (self.tau / model.dim) * model.metric) / scale,
+                 None)]
+
+
+def vanishing_report(model: ModelPoint, R, kind: PlaneKind, count: int = 200,
+                     seed: int = 0, tol=Tolerance()) -> DiagReport:
+    """Max of |R(u,v,v,u)| over sampled planes of the given kind, scaled."""
+    tol = as_tolerance(tol)
+    R = check_quad(model, R)
+    sides = _Sides(model, R, residual_scale(R), _RequestPlanes(model, count, seed))
+    _, worst, witness = sides.vanishing(kind)
+    verdict = worst <= tol.rel
+    return DiagReport(worst, None if verdict else witness, count, verdict)
+
+
+# ---------------------------------------------------------------------------
+# closed-form flatness norms
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class FlatnessNorms:
+    conf_norm: float          # None when dim <= 3
+    boch_norm: float          # None without J or dim < 6
+    const_curv_residual: float
+    antihol_residual: float   # None without J, or at m = 2
+    nu_hat: float             # None at m = 2 with J
+    mu_hat: float             # None without J
+
 
 def flatness_norms(model: ModelPoint, R) -> FlatnessNorms:
     """Exact-criterion norms: conformal, Bochner, pi1-projection residual,
@@ -251,7 +295,7 @@ def flatness_norms(model: ModelPoint, R) -> FlatnessNorms:
     R = check_quad(model, R)
     if model.dim < 2:
         raise DimensionMismatch("flatness norms need dimension >= 2: an m = 1 model has no 2-plane")
-    exact = _ExactNorms(model, R, residual_scale(R))
+    exact = _Sides(model, R, residual_scale(R))
     nu_hat, mu_hat = exact.fit
     conf = exact.conformal if model.dim > 3 else None
     boch = exact.bochner if model.has_cplx and model.dim >= 6 else None
@@ -278,60 +322,14 @@ def _consistency_report(sides, tol: Tolerance, count: int) -> DiagReport:
     return DiagReport(max(r for _, r, _ in sides), witness, count, verdict, notes)
 
 
-def _quadruple_sides(planes, exact):
-    """Theorem 2: R(x,y,a,b) and the sectional-curvature relation on (+,+,-,-)
-    quadruples (x, y, a, b), rows 0 to 3 of each frame."""
-    R, scale = exact.R, exact.scale
-    kind = PlaneKind.QUADRUPLE_PPMM
-    quads = planes.batch(kind)
-
-    def kval(i, j, sign):
-        return sign * planes.quad(R, kind, quads, i, j, j, i)
-
-    relation = kval(0, 1, 1) + kval(2, 3, 1) - kval(0, 2, -1) - kval(1, 3, -1)
-    return [_sampled("quadruple component vanishing", planes.quad(R, kind, quads, 0, 1, 2, 3),
-                     scale, quads),
-            _sampled("sectional curvature relation", relation, scale, quads)]
-
-
-def _antiholomorphic_spread_sides(planes, exact):
-    """Theorem 5: weakly isotropic antiholomorphic vanishing against the
-    spread of sectional curvatures over nondegenerate antiholomorphic planes.
-    The spread over one plane is 0 whatever R is, so it needs two samples."""
-    if planes.count < 2:
-        raise InvalidSampleCount(f"{TheoremId.THM_5_WEAK_ISO_ANTIHOL.value} needs at least two "
-                                 f"samples for a curvature spread, got {planes.count}")
-    R, scale = exact.R, exact.scale
-    hyp = _kind_side(planes, R, PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC, scale)
-    kind = PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC
-    batch = planes.batch(kind)
-    ks = planes.quad(R, kind, batch, 0, 1, 1, 0) / planes.disc(kind, batch)
-    spread = float(np.max(ks) - np.min(ks)) / scale
-    return [hyp, ("antiholomorphic curvature spread", spread, None)]
-
-
-def _einstein_sides(planes, exact):
-    """Sampled |rho(xi,xi)| on isotropic xi against the Einstein residual
-    |rho - (tau/m) g|, both scaled by max(1, |rho|_max) in place of R's."""
-    model = planes.model
-    XI = isotropic_vectors(model, planes.count, planes.seed)
-    rho, tau = exact.rho, exact.tau
-    scale = max(1.0, max_norm(rho))
-    values = np.einsum("ki,ij,kj->k", XI, rho, XI)
-    return [_sampled("sampled max |rho(xi,xi)|", values, scale, XI[:, None]),
-            ("Einstein residual", max_norm(rho - (tau / model.dim) * model.metric) / scale, None)]
-
-
 @dataclass(frozen=True)
 class TheoremSpec:
     """One equivalence.  It holds where every sampled kind exists and the
-    ``needs`` row, if any, fits.  Each kind gives one vanishing side unless
-    ``sides`` replaces them; ``exact`` names the ``_ExactNorms`` attribute
-    of the exact side."""
+    ``needs`` row, if any, fits.  ``sides`` maps the ``_Sides`` of a tensor
+    to the theorem's sides."""
 
-    kinds: tuple = ()
-    exact: str = None
-    sides: Callable = None  # (_RequestPlanes, _ExactNorms) -> list of sides
+    kinds: tuple
+    sides: Callable  # _Sides -> list of (name, scaled residual, witness rows or None)
     needs: Signature = None
 
     @cached_property
@@ -341,57 +339,51 @@ class TheoremSpec:
         return rows + ([("the equivalence", self.needs)] if self.needs else [])
 
 
+_K = PlaneKind
+
 THEOREMS = {
-    TheoremId.THM_A_WEAK_ISO_CONST_K:
-        TheoremSpec((PlaneKind.WEAKLY_ISOTROPIC,), exact="const_curv"),
-    TheoremId.THM_1_STRONG_ISO_CONF_FLAT:
-        TheoremSpec((PlaneKind.STRONGLY_ISOTROPIC,), exact="conformal"),
-    TheoremId.THM_2_QUADRUPLES:
-        TheoremSpec((PlaneKind.QUADRUPLE_PPMM,), exact="conformal", sides=_quadruple_sides),
-    TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI:
-        TheoremSpec(sides=_einstein_sides, needs=PLUS_MINUS_PAIR),
-    TheoremId.THM_5_WEAK_ISO_ANTIHOL:
-        TheoremSpec((PlaneKind.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC,
-                     PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC),
-                    sides=_antiholomorphic_spread_sides),
-    TheoremId.THM_6_STRONG_ISO_ANTIHOL_BOCHNER:
-        TheoremSpec((PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC,), exact="bochner"),
-    TheoremId.THM_7_ISO_HOL_BOCHNER:
-        # holds from (4,4) on, where an antiholomorphic (+,+,-,-) frame exists
-        TheoremSpec((PlaneKind.ISOTROPIC_HOLOMORPHIC,), exact="bochner",
-                    needs=SIGNATURES[PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC]),
-    TheoremId.LEMMA_2_EQUIV:
-        TheoremSpec((PlaneKind.ISOTROPIC_HOLOMORPHIC,
-                     PlaneKind.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC)),
+    TheoremId.THM_A_WEAK_ISO_CONST_K: TheoremSpec((_K.WEAKLY_ISOTROPIC,), lambda s: [
+        s.vanishing(_K.WEAKLY_ISOTROPIC), ("constant-curvature residual", s.const_curv, None)]),
+    TheoremId.THM_1_STRONG_ISO_CONF_FLAT: TheoremSpec((_K.STRONGLY_ISOTROPIC,), lambda s: [
+        s.vanishing(_K.STRONGLY_ISOTROPIC), ("conformal norm", s.conformal, None)]),
+    TheoremId.THM_2_QUADRUPLES: TheoremSpec((_K.QUADRUPLE_PPMM,), lambda s: [
+        *s.quadruples(), ("conformal norm", s.conformal, None)]),
+    TheoremId.EINSTEIN_FROM_ISOTROPIC_RICCI: TheoremSpec((), _Sides.einstein, PLUS_MINUS_PAIR),
+    TheoremId.THM_5_WEAK_ISO_ANTIHOL: TheoremSpec(
+        (_K.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC, _K.NONDEGENERATE_ANTIHOLOMORPHIC),
+        lambda s: [s.vanishing(_K.WEAKLY_ISOTROPIC_ANTIHOLOMORPHIC), s.spread()]),
+    TheoremId.THM_6_STRONG_ISO_ANTIHOL_BOCHNER: TheoremSpec(
+        (_K.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC,), lambda s: [
+            s.vanishing(_K.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC), ("Bochner norm", s.bochner, None)]),
+    # holds from (4,4) on, where an antiholomorphic (+,+,-,-) frame exists
+    TheoremId.THM_7_ISO_HOL_BOCHNER: TheoremSpec((_K.ISOTROPIC_HOLOMORPHIC,), lambda s: [
+        s.vanishing(_K.ISOTROPIC_HOLOMORPHIC), ("Bochner norm", s.bochner, None)],
+        SIGNATURES[_K.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC]),
+    TheoremId.LEMMA_2_EQUIV: TheoremSpec(
+        (_K.ISOTROPIC_HOLOMORPHIC, _K.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC), lambda s: [
+            s.vanishing(_K.ISOTROPIC_HOLOMORPHIC),
+            s.vanishing(_K.STRONGLY_ISOTROPIC_ANTIHOLOMORPHIC)]),
 }
 
 
 def equivalence_check(model: ModelPoint, R, theorem_id: TheoremId, count: int = 200,
-                      seed: int = 0, tol=Tolerance(), *, _exact=None,
-                      _planes=None) -> DiagReport:
+                      seed: int = 0, tol=Tolerance(), *, _sides=None) -> DiagReport:
     """Evaluate both sides of a theorem; verdict true iff they agree.
 
-    ``_exact`` and ``_planes`` are internal.  ``fuzz`` passes the
-    ``_ExactNorms`` of R, whose R and scale are then used as they are, so
-    that the theorems of one trial share each derived tensor; and one
-    ``_RequestPlanes`` of (model, count, seed) for the whole request, so
-    that each pair row is built once however many trials run.
+    ``_sides`` is internal: ``fuzz`` passes the ``_Sides`` of a trial's R,
+    whose R, scale and request planes are then used as they are, so that
+    the theorems of one trial share each side and each pair row is built
+    once however many trials run.
     """
     tol = as_tolerance(tol)
-    R = check_quad(model, R) if _exact is None else _exact.R
-    check_count(count)
-    exact = _ExactNorms(model, R, residual_scale(R)) if _exact is None else _exact
-    planes = _RequestPlanes(model, count, seed) if _planes is None else _planes
+    if _sides is None:
+        R = check_quad(model, R)
+        check_count(count)
+        _sides = _Sides(model, R, residual_scale(R), _RequestPlanes(model, count, seed))
     spec = THEOREMS[theorem_id]
     for what, row in spec.signatures:
         row.require(model, f"{theorem_id.value}: {what}")
-    if spec.sides is not None:
-        sides = spec.sides(planes, exact)
-    else:
-        sides = [_kind_side(planes, R, kind, exact.scale) for kind in spec.kinds]
-    if spec.exact is not None:
-        sides.append((_ExactNorms.SIDE_NAMES[spec.exact], getattr(exact, spec.exact), None))
-    return _consistency_report(sides, tol, count)
+    return _consistency_report(spec.sides(_sides), tol, count)
 
 
 def einstein_check(model: ModelPoint, R, count: int = 200, seed: int = 0,
@@ -424,7 +416,7 @@ def uniqueness_check(model: ModelPoint, kind: UniquenessKind, T, count: int = 20
         X, Y, Z = frames.transpose(1, 0, 2)
         sides = [_sampled("sampled hypothesis residual", quad_eval_batch(T, X, Y, Z, X), scale,
                           frames),
-                 ("constant-curvature residual", _ExactNorms(model, T, scale).const_curv, None)]
+                 ("constant-curvature residual", _Sides(model, T, scale).const_curv, None)]
     else:
         U, V = frames.transpose(1, 0, 2)
         JU = U @ model.cplx.T
@@ -483,10 +475,9 @@ def fuzz(model: ModelPoint, trials: int, seed: int = 0, samples: int = 100,
     planes = _RequestPlanes(model, samples, seed)
     for trial in range(trials):
         R = random_curvature_like(model, seed, trial)
-        exact = _ExactNorms(model, R, residual_scale(R))
+        sides = _Sides(model, R, residual_scale(R), planes)
         for tid in theorems:
-            rep = equivalence_check(model, R, tid, samples, seed, tol, _exact=exact,
-                                    _planes=planes)
+            rep = equivalence_check(model, R, tid, samples, seed, tol, _sides=sides)
             counts[tid.value]["consistent" if rep.verdict else "inconsistent"] += 1
             if not rep.verdict:
                 inconsistencies.append({

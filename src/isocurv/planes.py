@@ -155,6 +155,7 @@ def classify_holomorphy(model: ModelPoint, p: Plane, tol=Tolerance()) -> Holomor
     """Holomorphic if J maps the plane to itself, antiholomorphic if J maps
     it into its g-orthogonal complement (and not onto itself)."""
     tol = as_tolerance(tol)
+    _check_independent(np.stack([p.x, p.y]), 2)
     J = model.require_cplx()
     basis = np.stack([p.x, p.y], axis=1)  # m x 2
     jx, jy = J @ p.x, J @ p.y

@@ -34,7 +34,7 @@ from isocurv.errors import (
     NonFiniteTensor,
     UnsupportedSignature,
 )
-from isocurv.tensors import max_norm, ricci
+from isocurv.tensors import max_norm, residual_scale, ricci
 
 from conftest import random_symmetric
 
@@ -173,12 +173,44 @@ class TestDerivedTensorsBuiltOnce:
         fuzz(h44, trials=3, seed=1, samples=5)
         assert counter.calls == {"residual_scale": 3, "check_quad": 0}
 
-    def test_equivalence_check_alone_matches_fuzz_sharing(self, h44):
-        R = random_curvature_like(h44, 0, 0)
-        summary = fuzz(h44, trials=1, seed=0, samples=5)
-        for tid in applicable_theorems(h44):
-            rep = equivalence_check(h44, R, tid, 5, 0)
-            assert summary["checks"][tid.value]["consistent"] == int(rep.verdict)
+    def test_one_fuzz_trial_multiplies_r_eleven_times(self, h44, monkeypatch):
+        # one product per vanishing side of ThmA, Thm1, Thm5, Thm6 and Thm7,
+        # whose last two Lemma 2 reads, one for Thm5's spread and five for
+        # Thm2; Thm2's (x, y) rows are multiplied twice, for R(x,y,a,b) and
+        # R(x,y,y,x), as holding the product would cost more than it saves
+        import isocurv.diagnostics as diag
+
+        counter = _CallCounter(monkeypatch, diag, ["bivector_eval"])
+        fuzz(h44, trials=1, seed=1, samples=5)
+        assert counter.calls == {"bivector_eval": 11}
+
+    def test_equivalence_check_alone_matches_fuzz_sharing(self):
+        # the whole report through one holder shared by a trial's theorems,
+        # at tolerances where some sides pass and some fail, against a fresh
+        # call per theorem
+        import isocurv.diagnostics as diag
+
+        for model in (hermitian_model(8, 4), ModelPoint(5, 2), hermitian_model(6, 2)):
+            R = random_curvature_like(model, 0, 0)
+            summary = fuzz(model, trials=1, seed=0, samples=5)
+            theorems = applicable_theorems(model)
+            for tid in theorems:
+                rep = equivalence_check(model, R, tid, 5, 0)
+                assert summary["checks"][tid.value]["consistent"] == int(rep.verdict)
+            witnesses = 0
+            for tol in (1e-9, 0.5, 2.0):
+                sides = diag._Sides(model, R, residual_scale(R), diag._RequestPlanes(model, 5, 0))
+                for tid in theorems:
+                    shared = equivalence_check(model, R, tid, 5, 0, tol, _sides=sides)
+                    alone = equivalence_check(model, R, tid, 5, 0, tol)
+                    case = (model.dim, tol, tid)
+                    assert (shared.max_residual, shared.verdict, shared.side_notes) == (
+                        alone.max_residual, alone.verdict, alone.side_notes), case
+                    assert (shared.witness is None) == (alone.witness is None), case
+                    if alone.witness is not None:
+                        assert shared.witness.tobytes() == alone.witness.tobytes(), case
+                        witnesses += 1
+            assert witnesses, model.dim
 
 
 class TestPairRowsBuiltOncePerRequest:

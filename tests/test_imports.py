@@ -50,7 +50,7 @@ def test_detects_a_private_import(tmp_path):
     src.mkdir()
     (src / "diagnostics.py").write_text(
         "from .planes import _random_frame, sample_planes\n"
-        "from .diagnostics import _ExactNorms\n"
+        "from .diagnostics import _Sides\n"
         "def f():\n"
         "    from isocurv.planes import _model_key\n")
     (tmp_path / "test_x.py").write_text(

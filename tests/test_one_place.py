@@ -8,7 +8,10 @@ from one generator (none is built in a loop or comprehension),
 decides whether a model is valid: no other module raises InvalidModel or
 calls ``validate_complex_structure``, and no contraction of the conjugate
 tensor that would serve a J failing its axioms (``conjugate_riccis``)
-comes back."""
+comes back.  Every side of a theorem on one tensor comes from one holder:
+no second holder of exact norms (``_ExactNorms``), side function
+(``_kind_side``) or table of side names (``SIDE_NAMES``) comes back, and
+``diagnostics`` multiplies R by pair rows only in the holder's ``quad``."""
 
 import ast
 from pathlib import Path
@@ -53,11 +56,25 @@ def _raises(tree: ast.AST, name: str) -> list:
     return found
 
 
+def _is_call(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == name
+        or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+
+
 def _calls(tree: ast.AST, name: str) -> list:
     """Lines that call `name`, bare or as an attribute."""
-    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
-        isinstance(node.func, ast.Name) and node.func.id == name
-        or isinstance(node.func, ast.Attribute) and node.func.attr == name))
+    return sorted(node.lineno for node in ast.walk(tree) if _is_call(node, name))
+
+
+def _calls_outside(tree: ast.AST, name: str, owner: str, method: str) -> list:
+    """Lines that call `name` anywhere but in method `method` of class `owner`."""
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == owner
+              for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == method
+              for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if _is_call(node, name) and id(node) not in inside)
 
 
 def _names(tree: ast.AST, wanted: set) -> list:
@@ -137,6 +154,15 @@ def test_no_conjugate_riccis(path):
     assert _names(_parse(path), {"conjugate_riccis"}) == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_holder_per_tensor(path):
+    assert _names(_parse(path), {"_ExactNorms", "_kind_side", "SIDE_NAMES"}) == []
+
+
+def test_only_the_holder_multiplies_r_by_pair_rows():
+    assert _calls_outside(_parse(SRC / "diagnostics.py"), "bivector_eval", "_Sides", "quad") == []
+
+
 def test_detects_what_it_forbids():
     tree = ast.parse(
         "raise SystemExit('no')\n"
@@ -161,7 +187,17 @@ def test_detects_what_it_forbids():
         "from .tensors import conjugate_riccis\n"
         "rho_bar, rs_bar = tensors.conjugate_riccis(model, R)\n"
         "def conjugate_riccis(model, T): pass\n"
-        "class PlaneBatch: pass\n")
+        "class PlaneBatch: pass\n"
+        "class _ExactNorms: pass\n"
+        "side = _kind_side(planes, R, kind, scale)\n"
+        "name = _ExactNorms.SIDE_NAMES[spec.exact]\n"
+        "class _Sides:\n"
+        "    def quad(self, kind, i, j, a, b):\n"
+        "        return bivector_eval(self.R, xy, ab)\n"
+        "    def vanishing(self, kind):\n"
+        "        return tensors.bivector_eval(self.R, uv, vu)\n"
+        "def quad(R, xy, ab):\n"
+        "    return bivector_eval(R, xy, ab)\n")
     assert _system_exits(tree) == [1, 4]
     assert _row_decisions(tree) == [6, 7]
     assert _names(tree, {"Plane", "Frame"}) == [10, 11]
@@ -169,6 +205,8 @@ def test_detects_what_it_forbids():
     assert _raises(tree, "InvalidModel") == [14, 15]
     assert _calls(tree, "validate_complex_structure") == [17, 18]
     assert _names(tree, {"conjugate_riccis"}) == [20, 21, 22]
+    assert _names(tree, {"_ExactNorms", "_kind_side", "SIDE_NAMES"}) == [24, 25, 26, 26]
+    assert _calls_outside(tree, "bivector_eval", "_Sides", "quad") == [31, 33]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

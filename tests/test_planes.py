@@ -103,6 +103,10 @@ class TestClassifyPlane:
     def test_dependent_pair(self, m22):
         with pytest.raises(DependentInput):
             classify_plane(m22, Plane(e(4, 0), 3 * e(4, 0)))
+        h22 = hermitian_model(4, 2)
+        for plane in (Plane(e(4, 0), 2 * e(4, 0)), Plane(np.zeros(4), np.zeros(4))):
+            with pytest.raises(DependentInput):
+                classify_holomorphy(h22, plane)
 
 
 class TestClassifyHolomorphy:

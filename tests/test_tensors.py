@@ -227,9 +227,10 @@ def _broadcast_kernel(T, X, Y, Z, U):
 
 
 class TestMemoizedPairRows:
-    """The per-request pair rows of ``diagnostics`` give the values of the
-    broadcast kernel, bit for bit up to the sign of a zero, for every ordered
-    pair of distinct basis rows of every kind's batch."""
+    """The per-request pair rows of ``diagnostics``, multiplied by R in the
+    per-tensor holder's ``quad``, give the values of the broadcast kernel, bit
+    for bit up to the sign of a zero, for every ordered pair of distinct
+    basis rows of every kind's batch."""
 
     @pytest.mark.parametrize("model", [
         hermitian_model(8, 4), hermitian_model(12, 6), pulled_back_hermitian(8, 4, seed=5),
@@ -237,6 +238,7 @@ class TestMemoizedPairRows:
     def test_match_the_broadcast_kernel(self, model):
         R = random_curvature_like(model, 11)
         planes = diag._RequestPlanes(model, 12, 3)
+        sides = diag._Sides(model, R, 1.0, planes)
         kinds = [kind for kind, row in SIGNATURES.items() if row.fitting(model)]
         assert len(kinds) == (8 if model.has_cplx else 3)
         cases = 0
@@ -246,7 +248,7 @@ class TestMemoizedPairRows:
             pairs = [(i, j) for i in rows for j in rows if i != j]
             for i, j in pairs:
                 for a, b in pairs:
-                    got = planes.quad(R, kind, batch, i, j, a, b)
+                    got = sides.quad(kind, i, j, a, b)
                     want = _broadcast_kernel(R, *batch.transpose(1, 0, 2)[[i, j, a, b]])
                     assert np.array_equal(got, want), (kind, i, j, a, b)
                     cases += 1
@@ -254,19 +256,17 @@ class TestMemoizedPairRows:
 
     def test_reversed_rows_are_the_transposed_copy(self, h44):
         planes = diag._RequestPlanes(h44, 12, 3)
-        batch = planes.batch(PlaneKind.QUADRUPLE_PPMM)
-        xa = planes.pair(PlaneKind.QUADRUPLE_PPMM, batch, 0, 2)
-        ax = planes.pair(PlaneKind.QUADRUPLE_PPMM, batch, 2, 0)
+        xa = planes.pair(PlaneKind.QUADRUPLE_PPMM, 0, 2)
+        ax = planes.pair(PlaneKind.QUADRUPLE_PPMM, 2, 0)
         assert ax.flags.c_contiguous
         assert np.array_equal(ax, xa.reshape(12, 8, 8).transpose(0, 2, 1).reshape(12, 64))
-        assert planes.pair(PlaneKind.QUADRUPLE_PPMM, batch, 2, 0) is ax
+        assert planes.pair(PlaneKind.QUADRUPLE_PPMM, 2, 0) is ax
 
     def test_gram_discriminants_built_once(self, h44):
         kind = PlaneKind.NONDEGENERATE_ANTIHOLOMORPHIC
         planes = diag._RequestPlanes(h44, 12, 3)
-        batch = planes.batch(kind)
-        disc = planes.disc(kind, batch)
-        assert planes.disc(kind, batch) is disc
-        want = [Plane(x, y).gram(h44) for x, y in batch]
+        disc = planes.disc(kind)
+        assert planes.disc(kind) is disc
+        want = [Plane(x, y).gram(h44) for x, y in planes.batch(kind)]
         assert np.allclose(disc, [g[0, 0] * g[1, 1] - g[0, 1] ** 2 for g in want],
                            rtol=0, atol=1e-12)
