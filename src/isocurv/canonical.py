@@ -10,21 +10,28 @@ Conventions (m = real dimension, n = m/2 where J is involved):
   combinations of R with phi/psi applied to Ricci-type contractions.
 
 Closed linear form.  phi(S) and psi(S) are linear in S, pi1 = phi(g)/2 and
-pi2 = psi(g)/2.  So every derived tensor here folds into
+pi2 = psi(g)/2.  So every derived tensor here, and the constant-curvature
+residual R - kappa pi1 = R - phi(kappa g/2), is
 
-    R - phi(S_phi) - psi(S_psi)
+    linear_residual(model, R, s_phi, s_psi) = R - phi(s_phi) - psi(s_psi)
 
-for two (m, m) forms built from the Ricci-type contractions of R and from
-g: one phi and one psi product per tensor, and no pi1/pi2 tensor is built.
-Each product is one outer product and its pair transpose,
-V(x,y,z,u) = g(x,y)S(z,u) + S(x,y)g(z,u), read back in two index orders:
-phi(S) = V(y,z,x,u) - V(x,z,y,u); psi(S) does the same with om = gJ and SJ
-and subtracts 2V.  The Bochner tensor needs only rho and rho* of the
-conjugate tensor, and since every model's J is g-orthogonal those are
-J^T rho J and J^T rho* J: two contractions of R, and no conjugate is
-formed.  Callers that need several criteria of one tensor
+for two (m, m) forms.  ``conformal_forms``, ``bochner_forms`` and
+``antiholomorphic_forms`` build them from Ricci-type contractions of R,
+which a caller that needs several criteria of one tensor
 (``diagnostics.flatness_norms``, the theorems of one ``fuzz`` trial)
-compute each derived tensor once and share its norm.
+contracts once and passes to each.  The Bochner forms need rho and rho*
+of the conjugate tensor, and since every model's J is g-orthogonal those
+are J^T rho J and J^T rho* J: no conjugate is formed.
+
+phi(A) + psi(B) is built in one place, ``_phi_psi``.  With om = gJ and
+sig = BJ, W = g (x) A + A (x) g + om (x) sig + sig (x) om is one rank-4
+matrix product over the stacked flattened forms, and
+
+    phi(A) + psi(B) = W(y,z,x,u) - W(x,z,y,u) - 2 V_B(x,y,z,u),
+
+with V_B = om (x) sig + sig (x) om a rank-2 product: two products, one
+strided pass and two in-place updates, and no pi1/pi2 tensor is built.
+The builders (pi1, pi2, phi, psi, the model tensors) use the same kernel.
 """
 
 from __future__ import annotations
@@ -48,27 +55,46 @@ from .tensors import (
 )
 
 
+def _phi_psi(g: np.ndarray, s_phi, om=None, sig=None) -> np.ndarray:
+    """phi(s_phi) + psi(S) with om = gJ and sig = SJ; a None s_phi or sig
+    drops that term.  See the module docstring."""
+    m = len(g)
+    forms = ([g, s_phi] if s_phi is not None else []) + ([om, sig] if sig is not None else [])
+    P = np.stack(forms).reshape(len(forms), m * m)
+    Q = P.reshape(-1, 2, m * m)[:, ::-1].reshape(len(forms), m * m)  # each pair swapped
+    # the result first: W, freed on return, then sits above it on the heap,
+    # where the next large allocation can reuse it
+    K = np.empty((m,) * 4)
+    W = P.T @ Q  # W(x,y,z,u) = sum a(x,y) b(z,u) + b(x,y) a(z,u) over the pairs (a, b)
+    W4 = W.reshape((m,) * 4)
+    np.subtract(W4.transpose(2, 0, 1, 3), W4.transpose(0, 2, 1, 3), out=K)
+    if sig is not None:
+        K -= np.matmul((2.0 * P[-2:]).T, Q[-2:], out=W).reshape((m,) * 4)
+    return K
+
+
+def linear_residual(model: ModelPoint, R, s_phi, s_psi=None) -> np.ndarray:
+    """R - phi(s_phi) - psi(s_psi) for two (m, m) forms, neither checked for
+    symmetry or the hybrid condition; no psi term when s_psi is None."""
+    R = check_quad(model, R)
+    g = model.metric
+    if s_psi is None:
+        K = _phi_psi(g, s_phi)
+    else:
+        J = model.require_cplx()
+        K = _phi_psi(g, s_phi, g @ J, s_psi @ J)
+    return np.subtract(R, K, out=K)
+
+
 def pi1(model: ModelPoint) -> np.ndarray:
     g = model.metric
-    return _phi_raw(g, g) / 2.0
+    return _phi_psi(g, g / 2.0)
 
 
 def pi2(model: ModelPoint) -> np.ndarray:
     J = model.require_cplx()
     om = model.metric @ J  # om[x,y] = g(x, Jy)
-    return _psi_raw(om, om) / 2.0
-
-
-def _pair_sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """V(x,y,z,u) = a(x,y)b(z,u) + b(x,y)a(z,u)."""
-    m = len(a)
-    P = np.multiply.outer(a, b).reshape(m * m, m * m)
-    return (P + P.T).reshape((m,) * 4)
-
-
-def _phi_raw(g: np.ndarray, S: np.ndarray) -> np.ndarray:
-    V = _pair_sym_outer(g, S)
-    return V.transpose(2, 0, 1, 3) - V.transpose(0, 2, 1, 3)
+    return _phi_psi(model.metric, None, om, om / 2.0)
 
 
 def phi(model: ModelPoint, S, tol=Tolerance()) -> np.ndarray:
@@ -78,21 +104,13 @@ def phi(model: ModelPoint, S, tol=Tolerance()) -> np.ndarray:
         raise DimensionMismatch("S must be a square table of the model dimension")
     if not is_symmetric(S, tol):
         raise IsocurvError("phi requires a symmetric bilinear form")
-    return _phi_raw(model.metric, S)
+    return _phi_psi(model.metric, S)
 
 
 def hybrid_residual(model: ModelPoint, S) -> float:
     """Max violation of S(x,Jy) + S(y,Jx) = 0 over the basis."""
     sig = np.asarray(S, dtype=float) @ model.require_cplx()
     return max_norm(sig + sig.T)
-
-
-def _psi_raw(om: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """psi with om = gJ and sig = SJ; see the module docstring."""
-    V = _pair_sym_outer(om, sig)
-    out = V.transpose(2, 0, 1, 3) - V.transpose(0, 2, 1, 3)
-    out -= 2.0 * V
-    return out
 
 
 def psi(model: ModelPoint, S, enforce_hybrid: bool = True, tol=Tolerance()) -> np.ndarray:
@@ -111,7 +129,17 @@ def psi(model: ModelPoint, S, enforce_hybrid: bool = True, tol=Tolerance()) -> n
         raise DimensionMismatch("S must be a square table of the model dimension")
     if enforce_hybrid and hybrid_residual(model, S) > as_tolerance(tol).threshold(S):
         raise HybridConditionViolated("S(x,Jy) + S(y,Jx) != 0")
-    return _psi_raw(model.metric @ J, S @ J)
+    return _phi_psi(model.metric, None, model.metric @ J, S @ J)
+
+
+def conformal_forms(model: ModelPoint, rho) -> tuple:
+    """(s_phi, None) of the conformal tensor from the Ricci contraction rho:
+    s_phi = rho/(m-2) - tau g/(2(m-1)(m-2))."""
+    m = model.dim
+    if m <= 3:
+        raise DimensionMismatch("the conformal tensor needs dimension > 3")
+    tau = trace_g(model, rho)
+    return rho / (m - 2) - tau * model.metric / (2.0 * (m - 1) * (m - 2)), None
 
 
 def conformal(model: ModelPoint, R) -> np.ndarray:
@@ -119,14 +147,37 @@ def conformal(model: ModelPoint, R) -> np.ndarray:
 
     evaluated as R - phi(rho/(m-2) - tau g/(2(m-1)(m-2))).
     """
-    m = model.dim
-    if m <= 3:
-        raise DimensionMismatch("the conformal tensor needs dimension > 3")
     R = check_quad(model, R)
-    g = model.metric
-    rho = ricci(model, R)
-    tau = trace_g(model, rho)
-    return R - _phi_raw(g, rho / (m - 2) - tau * g / (2.0 * (m - 1) * (m - 2)))
+    return linear_residual(model, R, *conformal_forms(model, ricci(model, R)))
+
+
+def _bochner_n(model: ModelPoint) -> int:
+    if model.dim % 2 or model.dim < 6:
+        raise DimensionMismatch("the Bochner tensor needs even dimension >= 6")
+    model.require_cplx()
+    return model.dim // 2
+
+
+def bochner_forms(model: ModelPoint, rho, rho_star) -> tuple:
+    """(s_phi, s_psi) of the Bochner tensor from rho and rho* of R (see
+    ``bochner``); rho and rho* of the conjugate are J^T rho J and J^T rho* J."""
+    n = _bochner_n(model)
+    J, g = model.cplx, model.metric
+    rho_bar, rs_bar = J.T @ rho @ J, J.T @ rho_star @ J
+    tau, tau_star = trace_g(model, rho), trace_g(model, rho_star)
+    rho_plus, rs_plus = rho + rho_bar, rho_star + rs_bar
+    s1 = rho_plus + 3.0 * rs_plus
+    s2 = rho_plus - rs_plus
+    s3 = rho_star - rs_bar
+    s4 = rho - rho_bar
+    c1 = (tau + 3.0 * tau_star) / (16.0 * (n + 1) * (n + 2))
+    c2 = (tau - tau_star) / (16.0 * (n - 1) * (n - 2))
+
+    s_phi = (s1 / (16.0 * (n + 2)) + 3.0 * s2 / (16.0 * (n - 2)) - s4 / (4.0 * (n - 1))
+             - 0.5 * (c1 + 3.0 * c2) * g)
+    s_psi = (s1 / (16.0 * (n + 2)) - s2 / (16.0 * (n - 2)) + s3 / (4.0 * (n + 1))
+             - 0.5 * (c1 - c2) * g)
+    return s_phi, s_psi
 
 
 def bochner(model: ModelPoint, R) -> np.ndarray:
@@ -143,32 +194,9 @@ def bochner(model: ModelPoint, R) -> np.ndarray:
     twice.  Evaluated in closed linear form as R - phi(S_phi) - psi(S_psi).
     psi-arguments violating the hybrid condition do not abort.
     """
-    m = model.dim
-    if m % 2 or m < 6:
-        raise DimensionMismatch("the Bochner tensor needs even dimension >= 6")
-    J = model.require_cplx()
+    _bochner_n(model)
     R = check_quad(model, R)
-    n = m // 2
-    g = model.metric
-
-    rho, rs = ricci(model, R), ricci_star(model, R)
-    rho_bar, rs_bar = J.T @ rho @ J, J.T @ rs @ J
-    tau, tau_star = trace_g(model, rho), trace_g(model, rs)
-    rho_plus, rs_plus = rho + rho_bar, rs + rs_bar
-    s1 = rho_plus + 3.0 * rs_plus
-    s2 = rho_plus - rs_plus
-    s3 = rs - rs_bar
-    s4 = rho - rho_bar
-    c1 = (tau + 3.0 * tau_star) / (16.0 * (n + 1) * (n + 2))
-    c2 = (tau - tau_star) / (16.0 * (n - 1) * (n - 2))
-
-    s_phi = (s1 / (16.0 * (n + 2)) + 3.0 * s2 / (16.0 * (n - 2)) - s4 / (4.0 * (n - 1))
-             - 0.5 * (c1 + 3.0 * c2) * g)
-    s_psi = (s1 / (16.0 * (n + 2)) - s2 / (16.0 * (n - 2)) + s3 / (4.0 * (n + 1))
-             - 0.5 * (c1 - c2) * g)
-    B = R - _phi_raw(g, s_phi)
-    B -= _psi_raw(g @ J, s_psi @ J)
-    return B
+    return linear_residual(model, R, *bochner_forms(model, ricci(model, R), ricci_star(model, R)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +227,16 @@ def build_conformally_flat(model: ModelPoint, S) -> np.ndarray:
     _check_finite(S=S)
     if not is_symmetric(S):
         raise IsocurvError("S must be symmetric")
-    return _phi_raw(model.metric, S) / (m - 2) - trace_g(model, S) * pi1(model) / ((m - 1) * (m - 2))
+    g = model.metric
+    return _phi_psi(g, S / (m - 2) - trace_g(model, S) * g / (2.0 * (m - 1) * (m - 2)))
 
 
 def build_space_form(model: ModelPoint, nu: float, mu: float) -> np.ndarray:
     """Constant holomorphic curvature mu, antiholomorphic curvature nu:
     R = nu pi1 + (mu - nu)/3 pi2.  nu = mu/4 gives the Kaehler space form."""
     _check_finite(nu=nu, mu=mu)
-    return nu * pi1(model) + ((mu - nu) / 3.0) * pi2(model)
+    g, om = model.metric, model.metric @ model.require_cplx()
+    return _phi_psi(g, (nu / 2.0) * g, om, ((mu - nu) / 6.0) * om)
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +244,29 @@ def build_space_form(model: ModelPoint, nu: float, mu: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def antiholomorphic_forms(model: ModelPoint, rho_star, nu: float) -> tuple:
+    """(s_phi, s_psi) of the constant-antiholomorphic-curvature form from the
+    J-twisted Ricci contraction rho* (see ``antiholomorphic_form_residual``):
+    s_phi = nu g/2 and s_psi = rho*/(2(n+1)) - (tau*/((2n+1)(2n+2)) + nu/(2n+1)) g/2."""
+    model.require_cplx()
+    n = model.dim // 2
+    g = model.metric
+    ts = trace_g(model, rho_star)
+    s_psi = (rho_star / (2.0 * (n + 1))
+             - (ts / ((2 * n + 1) * (2 * n + 2)) + nu / (2 * n + 1)) * g / 2.0)
+    return (nu / 2.0) * g, s_psi
+
+
 def antiholomorphic_form_residual(model: ModelPoint, R, nu: float) -> float:
     """Max-norm residual of the constant-antiholomorphic-curvature form:
 
     R - psi(rho*)/(2(n+1)) + tau* pi2/((2n+1)(2n+2)) - nu (pi1 - pi2/(2n+1)),
 
-    evaluated as R - psi(S_psi) - phi(nu g/2).
+    evaluated as R - phi(nu g/2) - psi(S_psi).
     """
-    J = model.require_cplx()
     R = check_quad(model, R)
-    n = model.dim // 2
-    g = model.metric
-    rs = ricci_star(model, R)
-    ts = trace_g(model, rs)
-    s_psi = (rs / (2.0 * (n + 1))
-             - (ts / ((2 * n + 1) * (2 * n + 2)) + nu / (2 * n + 1)) * g / 2.0)
-    res = R - _psi_raw(g @ J, s_psi @ J)
-    res -= _phi_raw(g, (nu / 2.0) * g)
-    return max_norm(res)
+    forms = antiholomorphic_forms(model, ricci_star(model, R), nu)
+    return max_norm(linear_residual(model, R, *forms))
 
 
 @dataclass(frozen=True)

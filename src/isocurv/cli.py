@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -205,7 +206,10 @@ def cmd_fuzz(args) -> int:
     return 0 if not summary["inconsistencies"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: ``parse_args`` leaves it as
+    it was, and argparse looks up ``sys.stderr`` when it reports an error."""
     parser = argparse.ArgumentParser(
         prog="isocurv",
         description="Curvature algebra and isotropic-plane diagnostics for indefinite metrics.")

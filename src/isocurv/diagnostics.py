@@ -33,10 +33,10 @@ from typing import Callable
 import numpy as np
 
 from .canonical import (
-    antiholomorphic_form_residual,
-    bochner,
-    conformal,
-    pi1,
+    antiholomorphic_forms,
+    bochner_forms,
+    conformal_forms,
+    linear_residual,
 )
 from .errors import DimensionMismatch, InvalidSampleCount, UnsupportedSignature
 from .model import ModelPoint, Tolerance, as_tolerance
@@ -152,9 +152,11 @@ class _Sides:
 
     ``equivalence_check`` makes a fresh one per call; ``fuzz`` shares one
     across the theorems of a trial, and one ``_RequestPlanes`` across its
-    trials.  So Theorems 1 and 2 use one conformal tensor, Theorems 6 and 7
-    one Bochner tensor, the Einstein check and the fits one Ricci
-    contraction, and Lemma 2 reads the vanishing sides of Theorems 6 and 7.
+    trials.  So Theorems 1 and 2 use one conformal norm, Theorems 6 and 7
+    one Bochner norm, and Lemma 2 reads the vanishing sides of Theorems 6
+    and 7.  R is contracted once for ``rho`` and once for ``rho_star``:
+    they serve tau, the fits and the Einstein sides, and the forms of each
+    exact residual, which is one ``canonical.linear_residual``.
     """
 
     def __init__(self, model: ModelPoint, R: np.ndarray, scale: float,
@@ -165,6 +167,10 @@ class _Sides:
     @cached_property
     def rho(self) -> np.ndarray:
         return ricci(self.model, self.R)
+
+    @cached_property
+    def rho_star(self) -> np.ndarray:
+        return ricci_star(self.model, self.R)
 
     @cached_property
     def tau(self) -> float:
@@ -190,27 +196,32 @@ class _Sides:
             return self.kappa, None
         if m == 2:
             return None, self.kappa
-        tau, tau_star = self.tau, trace_g(self.model, ricci_star(self.model, self.R))
+        tau, tau_star = self.tau, trace_g(self.model, self.rho_star)
         den = m * (m * m - 4)
         nu = ((m + 1) * tau - 3.0 * tau_star) / den
         return nu, nu + 3.0 * ((m - 1) * tau_star - tau) / den
 
+    def _residual(self, forms: tuple) -> float:
+        """max |R - phi(s_phi) - psi(s_psi)| / scale for forms (s_phi, s_psi)."""
+        return max_norm(linear_residual(self.model, self.R, *forms)) / self.scale
+
     @cached_property
     def const_curv(self) -> float:
-        return max_norm(self.R - self.kappa * pi1(self.model)) / self.scale
+        """|R - kappa pi1| = |R - phi(kappa g/2)|."""
+        return self._residual(((self.kappa / 2.0) * self.model.metric, None))
 
     @cached_property
     def conformal(self) -> float:
-        return max_norm(conformal(self.model, self.R)) / self.scale
+        return self._residual(conformal_forms(self.model, self.rho))
 
     @cached_property
     def bochner(self) -> float:
-        return max_norm(bochner(self.model, self.R)) / self.scale
+        return self._residual(bochner_forms(self.model, self.rho, self.rho_star))
 
     @cached_property
     def antihol(self) -> float:
         """The constant-antiholomorphic-form residual at the fitted nu."""
-        return antiholomorphic_form_residual(self.model, self.R, self.fit[0]) / self.scale
+        return self._residual(antiholomorphic_forms(self.model, self.rho_star, self.fit[0]))
 
     def quad(self, kind: PlaneKind, i: int, j: int, a: int, b: int) -> np.ndarray:
         """R(x_i, x_j, x_a, x_b) over the samples of the kind's batch."""
@@ -289,8 +300,9 @@ def flatness_norms(model: ModelPoint, R) -> FlatnessNorms:
     """Exact-criterion norms: conformal, Bochner, pi1-projection residual,
     and the constant-antiholomorphic-form residual at the fitted nu.
 
-    The fits are closed forms in tau and tau*; pi1 is built once, for the
-    residual R - kappa pi1, and each derived tensor once.  A model with
+    The fits are closed forms in tau and tau*, and each residual is one
+    ``canonical.linear_residual`` at forms built from one rho and one rho*
+    (R - kappa pi1 at s_phi = kappa g/2), so no pi1 is built.  A model with
     m = 1 has no 2-plane and raises DimensionMismatch."""
     R = check_quad(model, R)
     if model.dim < 2:

@@ -139,11 +139,18 @@ def gram_schmidt_indefinite(model, vectors, tol=Tolerance()) -> Frame:
     return Frame(np.stack(chosen), tuple(signs))
 
 
+def _unit_pair(p: Plane) -> tuple:
+    """The plane's basis vectors, each divided by its Euclidean norm, so that
+    the tests below answer for the span and not for the size of its basis.
+    A dependent pair raises DependentInput first."""
+    _check_independent(np.stack([p.x, p.y]), 2)
+    return p.x / np.linalg.norm(p.x), p.y / np.linalg.norm(p.y)
+
+
 def classify_plane(model: ModelPoint, p: Plane, tol=Tolerance()) -> PlaneClass:
     """Rank of the restricted metric: 2, 1 or 0."""
     tol = as_tolerance(tol)
-    _check_independent(np.stack([p.x, p.y]), 2)
-    gram = p.gram(model)
+    gram = Plane(*_unit_pair(p)).gram(model)
     sv = np.linalg.svd(gram, compute_uv=False)
     cut = tol.rel * (1.0 + float(np.max(np.abs(gram))))
     rank = int(np.sum(sv > cut))
@@ -155,35 +162,37 @@ def classify_holomorphy(model: ModelPoint, p: Plane, tol=Tolerance()) -> Holomor
     """Holomorphic if J maps the plane to itself, antiholomorphic if J maps
     it into its g-orthogonal complement (and not onto itself)."""
     tol = as_tolerance(tol)
-    _check_independent(np.stack([p.x, p.y]), 2)
+    x, y = _unit_pair(p)
     J = model.require_cplx()
-    basis = np.stack([p.x, p.y], axis=1)  # m x 2
-    jx, jy = J @ p.x, J @ p.y
+    basis = np.stack([x, y], axis=1)  # m x 2
     # span membership is metric-independent, plain least squares suffices
     holo = True
-    for w in (jx, jy):
+    for w in (J @ x, J @ y):
         coeff, *_ = np.linalg.lstsq(basis, w, rcond=None)
         if np.max(np.abs(basis @ coeff - w)) > tol.rel * (1.0 + float(np.max(np.abs(w)))):
             holo = False
             break
     if holo:
         return Holomorphy.HOLOMORPHIC
-    cut = tol.threshold(np.stack([p.x, p.y]))
-    prods = [inner(model, u, J @ v) for u in (p.x, p.y) for v in (p.x, p.y)]
+    cut = tol.threshold(np.stack([x, y]))
+    prods = [inner(model, u, J @ v) for u in (x, y) for v in (x, y)]
     if max(abs(q) for q in prods) <= cut:
         return Holomorphy.ANTIHOLOMORPHIC
     return Holomorphy.GENERIC
 
 
 def sectional_curvature(model: ModelPoint, R, p: Plane, tol=Tolerance()) -> float:
-    """K = R(x,y,y,x) / (g(x,x)g(y,y) - g(x,y)^2) on a nondegenerate plane."""
+    """K = R(x,y,y,x) / (g(x,x)g(y,y) - g(x,y)^2) on a nondegenerate plane,
+    evaluated on the basis vectors divided by their Euclidean norms (K is
+    the same for every basis of the plane)."""
     R = check_quad(model, R)
     tol = as_tolerance(tol)
-    gram = p.gram(model)
+    x, y = _unit_pair(p)
+    gram = Plane(x, y).gram(model)
     disc = gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
     if abs(disc) <= tol.rel * (1.0 + float(np.max(np.abs(gram))) ** 2):
         raise DegeneratePlane("plane is metrically degenerate")
-    return quad_eval(R, p.x, p.y, p.y, p.x) / disc
+    return quad_eval(R, x, y, y, x) / disc
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,11 @@ def check_quad(model: ModelPoint, T) -> np.ndarray:
 
 
 def max_norm(T) -> float:
+    """max |T_i|, taken as the larger of max T and -min T, so no |T| array is
+    formed.  A NaN component gives NaN and an infinite one inf; abs turns
+    the -0.0 of an all-zero T into 0.0."""
     T = np.asarray(T)
-    return float(np.max(np.abs(T))) if T.size else 0.0
+    return abs(float(max(T.max(), -T.min()))) if T.size else 0.0
 
 
 def residual_scale(T) -> float:

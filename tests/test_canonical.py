@@ -24,13 +24,21 @@ from isocurv import (
     scalar_star,
     validate_curvature_like,
 )
-from isocurv.canonical import antiholomorphic_form_residual, theorem6_identities
+from isocurv.canonical import (
+    antiholomorphic_form_residual,
+    antiholomorphic_forms,
+    bochner_forms,
+    conformal_forms,
+    linear_residual,
+    theorem6_identities,
+)
 from isocurv.diagnostics import flatness_norms, random_curvature_like
 from isocurv.errors import (
     DimensionMismatch,
     HybridConditionViolated,
     InvalidSampleCount,
     IsocurvError,
+    MissingComplexStructure,
     NonFiniteTensor,
     UnsupportedSignature,
 )
@@ -260,6 +268,58 @@ class TestLoopOracles:
     def test_bochner(self, model):
         R = random_curvature_like(model, 3)
         assert _close(bochner(model, R), oracle_bochner(model.metric, model.cplx, R))
+
+
+def _einsum_phi(g, A):
+    """phi(A)(x,y,z,u) = g(y,z)A(x,u) - g(x,z)A(y,u) + g(x,u)A(y,z) - g(y,u)A(x,z),
+    one einsum per term."""
+    return (np.einsum("yz,xu->xyzu", g, A) - np.einsum("xz,yu->xyzu", g, A)
+            + np.einsum("xu,yz->xyzu", g, A) - np.einsum("yu,xz->xyzu", g, A))
+
+
+def _einsum_psi(g, J, B):
+    """psi(B)(x,y,z,u) = g(y,Jz)B(x,Ju) - g(x,Jz)B(y,Ju) - 2 g(x,Jy)B(z,Ju)
+    + g(x,Ju)B(y,Jz) - g(y,Ju)B(x,Jz) - 2 g(z,Ju)B(x,Jy), one einsum per
+    term, with g(a,Jb) = (gJ)[a,b] and B(a,Jb) = (BJ)[a,b]."""
+    w, s = g @ J, B @ J
+    return (np.einsum("yz,xu->xyzu", w, s) - np.einsum("xz,yu->xyzu", w, s)
+            - 2.0 * np.einsum("xy,zu->xyzu", w, s) + np.einsum("xu,yz->xyzu", w, s)
+            - np.einsum("yu,xz->xyzu", w, s) - 2.0 * np.einsum("zu,xy->xyzu", w, s))
+
+
+class TestLinearResidual:
+    """The one kernel R - phi(A) - psi(B) against the term-by-term formulas,
+    on tensors with no curvature symmetries and forms with no symmetry."""
+
+    @pytest.fixture(params=[(6, 2), (8, 4), (10, 4), (12, 6)], ids=["m6", "m8", "m10", "m12"])
+    def model(self, request):
+        return pulled_back_hermitian(*request.param, seed=7)
+
+    def test_against_einsum_terms(self, model):
+        m, g, J = model.dim, model.metric, model.cplx
+        rng = np.random.default_rng(m)
+        R = rng.uniform(-1.0, 1.0, (m,) * 4)
+        A, B = rng.uniform(-1.0, 1.0, (2, m, m))
+        phi_A, psi_B = _einsum_phi(g, A), _einsum_psi(g, J, B)
+        assert _close(linear_residual(model, R, A, B), R - phi_A - psi_B, rel=1e-13)
+        assert _close(linear_residual(model, R, A), R - phi_A, rel=1e-13)
+        assert _close(linear_residual(model, R, np.zeros((m, m)), B), R - psi_B, rel=1e-13)
+
+    def test_derived_tensors_are_the_kernel_at_their_forms(self, model):
+        R = random_curvature_like(model, 4)
+        rho, rs = ricci(model, R), ricci_star(model, R)
+        assert np.array_equal(conformal(model, R),
+                              linear_residual(model, R, *conformal_forms(model, rho)))
+        assert np.array_equal(bochner(model, R),
+                              linear_residual(model, R, *bochner_forms(model, rho, rs)))
+        assert antiholomorphic_form_residual(model, R, 0.3) == max_norm(
+            linear_residual(model, R, *antiholomorphic_forms(model, rs, 0.3)))
+
+    def test_needs_j_only_for_a_psi_form(self, m22):
+        R = np.zeros((4,) * 4)
+        assert max_norm(linear_residual(m22, R, m22.metric / 2.0) + pi1(m22)) == 0.0
+        with pytest.raises(MissingComplexStructure):
+            linear_residual(m22, R, m22.metric, m22.metric)
 
 
 def _pullback(T, A):

@@ -725,3 +725,39 @@ class TestDocumentIO:
 
         with pytest.raises(InvalidDocument, match="NaN or infinite"):
             load_document(path)
+
+
+class TestParserBuiltOnce:
+    def test_two_calls_build_one_parser(self, tmp_path, monkeypatch):
+        import argparse
+
+        import isocurv.cli as cli
+
+        built = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counted(parser, **kwargs):  # once per parser build, for the subcommands
+            built.append(parser.prog)
+            return add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+        cli.build_parser.cache_clear()
+        try:
+            for name in ("a.json", "b.json"):
+                assert run("gen", "const-curv", "--dim", "4", "--index", "2", "--c", "1",
+                           "--out", str(tmp_path / name)) == 0
+            assert built == ["isocurv"]
+        finally:
+            cli.build_parser.cache_clear()
+
+    def test_usage_error_goes_to_the_current_stderr(self, monkeypatch):
+        import io
+        import sys
+
+        for _ in range(2):  # the second call reuses the parser the first one built
+            err = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", err)
+            with pytest.raises(SystemExit) as exc:
+                run("gen", "no-such-kind", "--out", "x.json")
+            assert exc.value.code == 2
+            assert "invalid choice: 'no-such-kind'" in err.getvalue()

@@ -124,47 +124,54 @@ class _CallCounter:
 
 class TestDerivedTensorsBuiltOnce:
     def test_fuzz_shares_conformal_and_bochner_within_a_trial(self, h44, monkeypatch):
+        # per trial one residual kernel each for ThmA's constant curvature,
+        # the conformal norm of Thm1 and Thm2 and the Bochner norm of Thm6
+        # and Thm7
         import isocurv.diagnostics as diag
 
-        counter = _CallCounter(monkeypatch, diag, ["conformal", "bochner"])
+        counter = _CallCounter(monkeypatch, diag, ["conformal_forms", "bochner_forms",
+                                                   "linear_residual"])
         summary = fuzz(h44, trials=3, seed=1, samples=5)
         assert not summary["inconsistencies"]
-        assert counter.calls == {"conformal": 3, "bochner": 3}
+        assert counter.calls == {"conformal_forms": 3, "bochner_forms": 3, "linear_residual": 9}
 
     def test_flatness_norms_builds_each_tensor_once(self, h44, monkeypatch):
         import isocurv.diagnostics as diag
 
         R = random_curvature_like(h44, 5)
         want = flatness_norms(h44, R)
-        counter = _CallCounter(monkeypatch, diag, ["pi1", "conformal", "bochner",
-                                                   "antiholomorphic_form_residual"])
+        counter = _CallCounter(monkeypatch, diag, ["conformal_forms", "bochner_forms",
+                                                   "antiholomorphic_forms", "linear_residual"])
         assert flatness_norms(h44, R) == want
-        assert set(counter.calls.values()) == {1}
+        # the constant-curvature, conformal, Bochner and antiholomorphic residuals
+        assert counter.calls == {"conformal_forms": 1, "bochner_forms": 1,
+                                 "antiholomorphic_forms": 1, "linear_residual": 4}
 
-    def test_flatness_norms_builds_no_pi2(self, h44, monkeypatch):
+    def test_flatness_norms_builds_no_pi1_or_pi2(self, h44, monkeypatch):
         import isocurv.canonical as canonical
 
-        counter = _CallCounter(monkeypatch, canonical, ["pi2"])
+        counter = _CallCounter(monkeypatch, canonical, ["pi1", "pi2"])
         flatness_norms(h44, random_curvature_like(h44, 5))
-        assert counter.calls == {"pi2": 0}
+        assert counter.calls == {"pi1": 0, "pi2": 0}
 
-    def test_one_fuzz_trial_contracts_r_four_times(self, h44, monkeypatch):
-        # rho once for tau and the Einstein sides, once in conformal, and
-        # rho and rho* in bochner, whose conjugate's contractions are J^T . J
+    def test_one_fuzz_trial_contracts_r_twice(self, h44, monkeypatch):
+        # rho for tau, the Einstein sides and the conformal and Bochner
+        # forms, rho* for the Bochner forms, whose conjugate's contractions
+        # are J^T . J
         import isocurv.tensors as tensors
 
         counter = _CallCounter(monkeypatch, tensors, ["_contract"])
         fuzz(h44, trials=1, seed=1, samples=5)
-        assert counter.calls == {"_contract": 4}
+        assert counter.calls == {"_contract": 2}
 
-    def test_flatness_norms_contracts_r_six_times(self, h44, monkeypatch):
-        # rho for tau, rho* for the fit and again in the antiholomorphic
-        # residual, rho in conformal, and rho and rho* in bochner
+    def test_flatness_norms_contracts_r_twice(self, h44, monkeypatch):
+        # rho for tau and the conformal and Bochner forms, rho* for the fit
+        # and the Bochner and antiholomorphic forms
         import isocurv.tensors as tensors
 
         counter = _CallCounter(monkeypatch, tensors, ["_contract"])
         flatness_norms(h44, random_curvature_like(h44, 5))
-        assert counter.calls == {"_contract": 6}
+        assert counter.calls == {"_contract": 2}
 
     def test_fuzz_takes_r_and_scale_from_the_shared_norms(self, h44, monkeypatch):
         import isocurv.diagnostics as diag

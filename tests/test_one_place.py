@@ -11,7 +11,13 @@ tensor that would serve a J failing its axioms (``conjugate_riccis``)
 comes back.  Every side of a theorem on one tensor comes from one holder:
 no second holder of exact norms (``_ExactNorms``), side function
 (``_kind_side``) or table of side names (``SIDE_NAMES``) comes back, and
-``diagnostics`` multiplies R by pair rows only in the holder's ``quad``."""
+``diagnostics`` multiplies R by pair rows only in the holder's ``quad``.
+Every phi and psi product comes from one kernel, ``canonical._phi_psi``:
+no second builder (``_phi_raw``, ``_psi_raw``, ``_pair_sym_outer``) or
+outer product comes back, and no other module calls the kernel but
+through ``canonical.linear_residual``; ``diagnostics`` builds no pi1 and
+contracts R for rho and rho* only in the holder's ``rho`` and
+``rho_star``."""
 
 import ast
 from pathlib import Path
@@ -163,6 +169,22 @@ def test_only_the_holder_multiplies_r_by_pair_rows():
     assert _calls_outside(_parse(SRC / "diagnostics.py"), "bivector_eval", "_Sides", "quad") == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_phi_psi_kernel(path):
+    tree = _parse(path)
+    assert _names(tree, {"_phi_raw", "_psi_raw", "_pair_sym_outer"}) == []
+    assert _calls(tree, "outer") == []
+    if path.name != "canonical.py":
+        assert _names(tree, {"_phi_psi"}) == []
+
+
+def test_holder_contracts_r_once_and_builds_no_pi1():
+    tree = _parse(SRC / "diagnostics.py")
+    assert _calls(tree, "pi1") == []
+    assert _calls_outside(tree, "ricci", "_Sides", "rho") == []
+    assert _calls_outside(tree, "ricci_star", "_Sides", "rho_star") == []
+
+
 def test_detects_what_it_forbids():
     tree = ast.parse(
         "raise SystemExit('no')\n"
@@ -197,7 +219,11 @@ def test_detects_what_it_forbids():
         "    def vanishing(self, kind):\n"
         "        return tensors.bivector_eval(self.R, uv, vu)\n"
         "def quad(R, xy, ab):\n"
-        "    return bivector_eval(R, xy, ab)\n")
+        "    return bivector_eval(R, xy, ab)\n"
+        "V = _pair_sym_outer(g, S) + _phi_raw(g, S)\n"
+        "P = np.multiply.outer(a, b) + np.outer(a, b)\n"
+        "from .canonical import _phi_psi\n"
+        "residual = R - kappa * pi1(model) - canonical.pi1(model)\n")
     assert _system_exits(tree) == [1, 4]
     assert _row_decisions(tree) == [6, 7]
     assert _names(tree, {"Plane", "Frame"}) == [10, 11]
@@ -207,6 +233,10 @@ def test_detects_what_it_forbids():
     assert _names(tree, {"conjugate_riccis"}) == [20, 21, 22]
     assert _names(tree, {"_ExactNorms", "_kind_side", "SIDE_NAMES"}) == [24, 25, 26, 26]
     assert _calls_outside(tree, "bivector_eval", "_Sides", "quad") == [31, 33]
+    assert _names(tree, {"_phi_raw", "_psi_raw", "_pair_sym_outer"}) == [34, 34]
+    assert _calls(tree, "outer") == [35, 35]
+    assert _names(tree, {"_phi_psi"}) == [36]
+    assert _calls(tree, "pi1") == [37, 37]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

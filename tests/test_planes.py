@@ -10,6 +10,7 @@ from isocurv import (
     Plane,
     PlaneClass,
     PlaneKind,
+    build_constant_curvature,
     build_space_form,
     classify_holomorphy,
     classify_plane,
@@ -104,9 +105,23 @@ class TestClassifyPlane:
         with pytest.raises(DependentInput):
             classify_plane(m22, Plane(e(4, 0), 3 * e(4, 0)))
         h22 = hermitian_model(4, 2)
+        R = build_constant_curvature(h22, 1.0)
         for plane in (Plane(e(4, 0), 2 * e(4, 0)), Plane(np.zeros(4), np.zeros(4))):
             with pytest.raises(DependentInput):
                 classify_holomorphy(h22, plane)
+            with pytest.raises(DependentInput):
+                sectional_curvature(h22, R, plane)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_small_basis_of_a_nondegenerate_plane(self, m22, s):
+        # a plane is its span: the Gram tests see unit basis vectors
+        p = Plane(s * e(4, 0), s * e(4, 1))
+        assert classify_plane(m22, p) == PlaneClass.NONDEGENERATE
+        R = build_constant_curvature(m22, 1.0)
+        assert sectional_curvature(m22, R, p) == pytest.approx(1.0, rel=1e-12)
+        h22 = hermitian_model(4, 2)
+        assert classify_holomorphy(h22, Plane(s * e(4, 0), s * (e(4, 1) + e(4, 2)))) \
+            == Holomorphy.GENERIC
 
 
 class TestClassifyHolomorphy:

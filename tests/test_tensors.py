@@ -20,8 +20,9 @@ from isocurv import (
     validate_curvature_like,
 )
 from isocurv.diagnostics import random_curvature_like
-from isocurv.errors import MissingComplexStructure
+from isocurv.errors import MissingComplexStructure, NonFiniteTensor
 from isocurv.planes import SIGNATURES
+from isocurv.tensors import max_norm, residual_scale
 
 from conftest import (
     non_diagonal_model,
@@ -34,6 +35,33 @@ from conftest import (
     pullback_rel,
     pulled_back_hermitian,
 )
+
+
+class TestMaxNorm:
+    """max |T| as max(max T, -min T): the same number as the abs pass, and a
+    non-finite component still reaches residual_scale."""
+
+    def test_matches_the_abs_pass(self):
+        rng = np.random.default_rng(2)
+        for shape in ((5,), (3, 4), (4, 4, 4, 4)):
+            T = rng.normal(size=shape)
+            assert max_norm(T) == float(np.max(np.abs(T)))
+        assert max_norm(np.array([-3.0, 1.0])) == 3.0
+        assert max_norm(np.zeros(0)) == 0.0
+
+    def test_zero_is_positive_zero(self):
+        got = max_norm(np.full((2, 2), -0.0))
+        assert got == 0.0 and np.copysign(1.0, got) == 1.0
+
+    @pytest.mark.parametrize("value, want", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf")],
+                             ids=["nan", "plus-inf", "minus-inf"])
+    def test_non_finite_component(self, value, want):
+        T = np.random.default_rng(3).normal(size=(4, 4, 4, 4))
+        T[1, 2, 3, 0] = value
+        got = max_norm(T)
+        assert np.isnan(got) if want == "nan" else got == np.inf
+        with pytest.raises(NonFiniteTensor):
+            residual_scale(T)
 
 
 class TestCurvatureLike:
